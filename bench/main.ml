@@ -27,8 +27,8 @@
          tolerance boundary asserted from both sides (within-f
          adversaries masked, beyond-f or unprotected caught).
    E20 — Raw-speed campaign: scan-sharing on/off at 8 readers,
-         post_batch vs loop-of-posts, padded vs plain contended
-         atomics, and the Afek fast path vs the Anderson oracle
+         padded vs plain contended atomics, and the Afek fast path vs
+         the Anderson oracle
          (with a deterministic differential replay gate).
    E21 — Network edge: the TCP front-end under open-loop load
          (Poisson arrivals, Zipfian skew) across shard and connection
@@ -1771,10 +1771,6 @@ let e19 ~quick () =
      legs so the comparison isolates the scan machinery itself: the off
      leg pays a full outer collect per request, the on leg mostly
      adopts the shared slot for the price of one version-cell collect.
-   - batched_post: C-component writes as one post_batch (one install
-     per shard) vs a loop of C posts (one exchange per component),
-     drained in manual mode so the work measured is exactly the
-     submission + drain path.
    - padded_atomic: contended increments on adjacent plain Atomic.t
      cells vs padded cells (Composite.Padded_atomic).  On a single-core
      host both legs share one cache at a time and the ratio is ~1x;
@@ -1784,7 +1780,7 @@ let e19 ~quick () =
      deterministic manual-mode differential replay that must agree scan
      for scan (differential_ok). *)
 let e20 ~quick () =
-  section "E20: raw-speed campaign — scan-sharing, batched posts, padding, Afek";
+  section "E20: raw-speed campaign — scan-sharing, padding, Afek";
   let t =
     Workload.Table.create
       ~header:[ "pair"; "before"; "after"; "speedup"; "evidence" ]
@@ -1867,73 +1863,6 @@ let e20 ~quick () =
       Printf.sprintf "%.1fx" scan_speedup;
       Printf.sprintf "%d of %d requests combined" on_st.Serve.scans_combined
         on_st.Serve.scans_requested;
-    ];
-  (* -- batched posts ----------------------------------------------- *)
-  let bcomponents = 16 in
-  let brounds = if quick then 5_000 else 20_000 in
-  (* Submission + drain are timed per round (the payload list is the
-     caller's in either world and is built outside the window): a
-     C-component write is C mailbox exchanges on each side in the loop
-     world, versus one batch-cell CAS per shard in plus one exchange
-     out — the drain's read-before-exchange guard turns the loop
-     world's C take-RMWs into C plain loads when a shard is fed purely
-     through the batch cell. *)
-  let batch_leg ~batched =
-    let srv =
-      Serve.create ~cache:false ~shards:2 ~readers:1
-        ~init:(Array.make bcomponents 0) ()
-    in
-    let timed = ref 0. in
-    for round = 1 to brounds do
-      let writes =
-        if batched then List.init bcomponents (fun k -> (k, (round * 10) + k))
-        else []
-      in
-      let s = Unix.gettimeofday () in
-      if batched then Serve.post_batch srv writes
-      else
-        for k = 0 to bcomponents - 1 do
-          Serve.post srv ~writer:k ((round * 10) + k)
-        done;
-      Serve.drain srv;
-      timed := !timed +. (Unix.gettimeofday () -. s)
-    done;
-    let st = Serve.stats srv in
-    (float_of_int st.Serve.posted /. !timed /. 1e3, st)
-  in
-  let loop_per_ms, loop_st = batch_leg ~batched:false in
-  let batch_per_ms, batch_st = batch_leg ~batched:true in
-  let batch_speedup =
-    if loop_per_ms = 0. then 0. else batch_per_ms /. loop_per_ms
-  in
-  let post_row label batched per_ms (st : Serve.stats) speedup =
-    Record.row "E20"
-      [
-        ("kind", Obs.Json.Str "batched_post");
-        ("cell", Obs.Json.Str label);
-        ("batched", Obs.Json.Bool batched);
-        ("posts_per_ms", Obs.Json.Float per_ms);
-        ("speedup_vs_loop", Obs.Json.Float speedup);
-        ("posted", Obs.Json.Int st.Serve.posted);
-        ("applied", Obs.Json.Int st.Serve.applied);
-        ("coalesced", Obs.Json.Int st.Serve.coalesced);
-        ("batch_installs", Obs.Json.Int st.Serve.batch_installs);
-        ( "accounting_ok",
-          Obs.Json.Bool
-            (st.Serve.posted = st.Serve.applied + st.Serve.coalesced
-            && st.Serve.pending = 0) );
-      ]
-  in
-  post_row "loop-of-posts" false loop_per_ms loop_st 1.;
-  post_row "post_batch" true batch_per_ms batch_st batch_speedup;
-  Workload.Table.add_row t
-    [
-      Printf.sprintf "batched post (C=%d, S=2)" bcomponents;
-      Printf.sprintf "%.0f posts/ms" loop_per_ms;
-      Printf.sprintf "%.0f posts/ms" batch_per_ms;
-      Printf.sprintf "%.1fx" batch_speedup;
-      Printf.sprintf "%d installs for %d posts" batch_st.Serve.batch_installs
-        batch_st.Serve.posted;
     ];
   (* -- padded atomics ---------------------------------------------- *)
   let pdomains = 4 and pincs = if quick then 500_000 else 2_000_000 in
@@ -2066,8 +1995,11 @@ let e20 ~quick () =
           List.init (1 + rand components) (fun _ ->
               (rand components, rand 1000))
         in
-        Serve.post_batch a ws;
-        Serve.post_batch f ws
+        List.iter
+          (fun (k, v) ->
+            Serve.post a ~writer:k v;
+            Serve.post f ~writer:k v)
+          ws
       | 2 ->
         Serve.drain a;
         Serve.drain f

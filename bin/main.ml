@@ -1587,7 +1587,9 @@ let serve_run outer shard_counts components readers writes scans schedules
           let c name =
             Obs.Metrics.counter_value (Obs.Metrics.counter m name)
           in
-          let hits = c "serve.cache.hit" in
+          (* Under --no-validate the blind reuses are counted by the
+             campaign's mutant wrapper, not by the service. *)
+          let hits = c "serve.cache.hit" + c "serve_campaign.blind_hits" in
           let misses = c "serve.cache.miss" in
           let stale = c "serve.cache.stale" in
           let cached_scans = hits + misses + stale in
@@ -1740,8 +1742,8 @@ let reshard_run outer shards steps components readers writes scans schedules
   in
   Format.printf "%a@." Workload.Reshard_campaign.pp_result r;
   let c name = Obs.Metrics.counter_value (Obs.Metrics.counter m name) in
-  Printf.printf "reshards: %d, publishes: %d, coalesced: %d, rerouted \
-                 batch entries absorbed in carried work\n"
+  Printf.printf "reshards: %d, publishes: %d, coalesced: %d (posts pending at \
+                 a switch are carried into the next epoch)\n"
     (c "serve.reshards") (c "serve.publishes") (c "serve.coalesced");
   (match r.Workload.Reshard_campaign.example with
   | Some ex -> Format.printf "@.example violation:@.%s@." ex

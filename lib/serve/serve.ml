@@ -103,16 +103,15 @@ type 'a t = {
   components : int;
   max_shards : int;
   readers : int;
-  validate : bool;
   cache_enabled : bool;
   combine : bool;
   migrate : bool;  (* false = the publish-map-without-state mutant *)
   note : (string -> unit) option;
   (* Current layout.  The arrays themselves are immutable; the fields
      are swapped wholesale by [reshard] while no applier is running.
-     Writers may read a stale [owner] map — every batch cell is drained
-     by some live applier in every epoch, so a post routed by a stale
-     map is re-routed, never stranded. *)
+     Writers never read it: a post goes to its component's mailbox,
+     which whichever shard owns the component in the current epoch
+     drains. *)
   mutable cur_shards : int;
   mutable slice_off : int array;  (* per shard: first owned component *)
   mutable slice_len : int array;  (* per shard: number of owned components *)
@@ -127,22 +126,13 @@ type 'a t = {
      bump there invalidates every pre-reshard cache. *)
   version_cells : int Atomic.t array;  (* 1 + max_shards; padded *)
   mailboxes : ('a * int) option Atomic.t array;  (* per comp: value, ticket *)
-  (* Per shard slot: batched posts as component-indexed (comp, value,
-     ticket) entries in one padded cell.  Installed by [post_batch]
-     with one CAS per cell in the uncontended case, drained by an
-     applier with one exchange.  Entries carry their absolute component
-     index, so an install routed by a stale owner map is simply
-     re-routed by whichever applier covers the cell in the new epoch. *)
-  shard_batch : (int * 'a * int) list option Atomic.t array;  (* max_shards *)
   tickets : int array;  (* per component; touched only by its writer *)
   acked : (int * int) Atomic.t array;  (* per comp: last applied ticket, id *)
-  applied_tk : int array;  (* per comp: last applied ticket; owner-private *)
   next_id : int array;  (* per component; touched only by its applier *)
   posted : int Atomic.t array;  (* per component *)
   coalesced : int Atomic.t array;  (* per component *)
   applied : int Atomic.t array;  (* per component *)
   publishes : int Atomic.t array;  (* per shard slot *)
-  batch_installs : int Atomic.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   stale : int Atomic.t;
@@ -213,9 +203,8 @@ let zero_stats =
     stalls = 0;
   }
 
-let create ?(outer = Outer_afek) ?(validate = true) ?(cache = true)
-    ?(combine = true) ?(migrate = true) ?max_shards ?note ~shards ~readers ~init
-    () =
+let create ?(outer = Outer_afek) ?(cache = true) ?(combine = true)
+    ?(migrate = true) ?max_shards ?note ~shards ~readers ~init () =
   let components = Array.length init in
   if components < 1 then invalid_arg "Serve.create: need at least 1 component";
   let max_shards = match max_shards with Some m -> m | None -> shards in
@@ -274,7 +263,6 @@ let create ?(outer = Outer_afek) ?(validate = true) ?(cache = true)
     components;
     max_shards;
     readers;
-    validate;
     cache_enabled = cache;
     combine;
     migrate;
@@ -288,16 +276,13 @@ let create ?(outer = Outer_afek) ?(validate = true) ?(cache = true)
     outer = outer_h;
     version_cells = Pad.array (1 + max_shards) 0;
     mailboxes = Pad.array components None;
-    shard_batch = Pad.array max_shards None;
     tickets = Array.make components 0;
     acked = Pad.array components (0, 0);
-    applied_tk = Array.make components 0;
     next_id = Array.make components 0;
     posted = Pad.array components 0;
     coalesced = Pad.array components 0;
     applied = Pad.array components 0;
     publishes = Pad.array max_shards 0;
-    batch_installs = Pad.make 0;
     hits = Pad.make 0;
     misses = Pad.make 0;
     stale = Pad.make 0;
@@ -330,7 +315,7 @@ let with_span t name f =
     r
 
 (* ------------------------------------------------------------------ *)
-(* Write path: mailboxes, batched posts, coalescing, appliers           *)
+(* Write path: mailboxes, coalescing, appliers                          *)
 (* ------------------------------------------------------------------ *)
 
 let post t ~writer v =
@@ -345,173 +330,33 @@ let post t ~writer v =
   | None -> ()
   | Some _ -> Atomic.incr t.coalesced.(writer)
 
-let post_batch t writes =
-  List.iter
-    (fun (k, _) ->
-      if k < 0 || k >= t.components then
-        invalid_arg "Serve.post_batch: bad component")
-    writes;
-  (* Stage the batch locally, grouped by the owner map as currently
-     published.  Entries carry their absolute component index, so a map
-     made stale by a concurrent reshard only mis-routes the cell — the
-     applier covering that cell in the new epoch re-routes the entry to
-     its owner's mailbox; nothing is ever stranded.  Tickets come from
-     the same per-component sequence as [post], so the applier can
-     order a batched and a mailbox post to the same component no matter
-     which channel it drains first. *)
-  let owner = t.owner in
-  let locals = Hashtbl.create 4 in
-  List.iter
-    (fun (k, v) ->
-      t.tickets.(k) <- t.tickets.(k) + 1;
-      Atomic.incr t.posted.(k);
-      let s = owner.(k) in
-      let cur = try Hashtbl.find locals s with Not_found -> [] in
-      (* Listing a component twice in one batch coalesces the earlier
-         entry. *)
-      let cur =
-        List.filter
-          (fun (k', _, _) ->
-            if k' = k then begin
-              Atomic.incr t.coalesced.(k);
-              false
-            end
-            else true)
-          cur
-      in
-      Hashtbl.replace locals s ((k, v, t.tickets.(k)) :: cur))
-    writes;
-  (* One install per cell touched: a plain CAS in the uncontended case.
-     On interference (another batch, or the applier's drain) the merge
-     is recomputed — newer tickets win per component and the superseded
-     entries count coalesced, exactly as mailbox handoffs do. *)
-  Hashtbl.iter
-    (fun s mine ->
-      let cell = t.shard_batch.(s) in
-      let rec install () =
-        let cur = Atomic.get cell in
-        let merged =
-          match cur with
-          | None -> mine
-          | Some old ->
-            (* Union; per component the newer ticket wins and the loser
-               counts coalesced. *)
-            let keep_old =
-              List.filter
-                (fun (k, _, _) ->
-                  if List.exists (fun (k', _, _) -> k' = k) mine then begin
-                    (* Tickets are per-component monotone: ours is the
-                       newer post, the old entry is superseded. *)
-                    Atomic.incr t.coalesced.(k);
-                    false
-                  end
-                  else true)
-                old
-            in
-            mine @ keep_old
-        in
-        if Atomic.compare_and_set cell cur (Some merged) then
-          Atomic.incr t.batch_installs
-        else install ()
-      in
-      install ())
-    locals
-
-(* Re-route a batch entry whose component this applier does not own
-   (it was installed under a stale owner map) into the component's
-   mailbox, newest ticket wins.  The CAS loop coexists with the
-   writer's plain exchange: if the writer overwrites us, its post has a
-   newer ticket from the same per-component sequence and counts ours
-   coalesced on its side of the exchange. *)
-let rec reroute t k v tk =
-  let cell = t.mailboxes.(k) in
-  let cur = Atomic.get cell in
-  match cur with
-  | Some (_, tk') when tk' >= tk -> Atomic.incr t.coalesced.(k)
-  | _ ->
-    if Atomic.compare_and_set cell cur (Some (v, tk)) then
-      match cur with Some _ -> Atomic.incr t.coalesced.(k) | None -> ()
-    else reroute t k v tk
-
+(* One pass over the owned mailboxes; returns whether anything was
+   applied.  Each mailbox has one writer and is emptied only by its
+   owning shard's drainer, so the value it holds is always that
+   writer's latest post and applied tickets rise per component without
+   any check here.  An empty mailbox costs one load, not an exchange
+   (a post landing after the load is picked up by the next pass), and
+   an idle pass allocates nothing: the applier runs it on every poll. *)
 let drain_shard t s =
   let off = t.slice_off.(s) and len = t.slice_len.(s) in
-  let shards = t.cur_shards in
-  (* A cell is only exchanged when a plain read sees something in it:
-     an empty mailbox costs one load instead of one RMW, so a shard fed
-     purely through the batch cell drains with a single exchange.  (A
-     post landing between the read and the next drain is simply picked
-     up then — the read-None case never loses anything the bare
-     exchange would have caught, because only this drainer empties the
-     cell.) *)
-  let take cell =
-    match Atomic.get cell with
-    | None -> None
-    | Some _ -> Atomic.exchange cell None
-  in
-  (* Best pending (value, ticket) per owned component. *)
-  let best = Array.make len None in
-  let moved = ref false in
-  let consider k v tk =
-    if t.owner.(k) = s then begin
-      let i = k - off in
-      match best.(i) with
-      | Some (_, tk') when tk' >= tk -> Atomic.incr t.coalesced.(k)
-      | cur ->
-        (match cur with Some _ -> Atomic.incr t.coalesced.(k) | None -> ());
-        best.(i) <- Some (v, tk)
-    end
-    else begin
-      (* Not ours: the entry was routed by a stale owner map.  Hand it
-         to the owner's mailbox and report progress, so drain loops and
-         applier backoffs know work moved even if none was applied
-         here. *)
-      moved := true;
-      reroute t k v tk
-    end
-  in
-  (* Batch cells: applier [s] covers every cell congruent to [s] modulo
-     the live shard count, so all [max_shards] cells are drained in
-     every epoch no matter how stale the map that filled them was. *)
-  let c = ref s in
-  while !c < t.max_shards do
-    (match take t.shard_batch.(!c) with
-    | None -> ()
-    | Some entries -> List.iter (fun (k, v, tk) -> consider k v tk) entries);
-    c := !c + shards
-  done;
-  (* ... then one exchange per non-empty owned mailbox. *)
+  let acks = ref [] in
   for i = 0 to len - 1 do
-    match take t.mailboxes.(off + i) with
+    let k = off + i in
+    match Atomic.get t.mailboxes.(k) with
     | None -> ()
-    | Some (v, tk) -> consider (off + i) v tk
+    | Some _ -> (
+      match Atomic.exchange t.mailboxes.(k) None with
+      | None -> ()
+      | Some (v, ticket) ->
+        t.next_id.(k) <- t.next_id.(k) + 1;
+        let id = t.next_id.(k) in
+        t.states.(s).(i) <- { Composite.Item.v; id };
+        Atomic.incr t.applied.(k);
+        acks := (k, ticket, id) :: !acks)
   done;
-  let todo = ref [] in
-  for i = len - 1 downto 0 do
-    match best.(i) with
-    | None -> ()
-    | Some (v, tk) ->
-      let k = off + i in
-      if tk <= t.applied_tk.(k) then
-        (* A newer post to this component was already applied (the
-           entry sat in a stale batch cell across a reshard): it is
-           superseded, never applied. *)
-        Atomic.incr t.coalesced.(k)
-      else todo := (i, k, v, tk) :: !todo
-  done;
-  match !todo with
-  | [] -> !moved
-  | batch ->
-    let acks =
-      List.map
-        (fun (i, k, v, ticket) ->
-          t.next_id.(k) <- t.next_id.(k) + 1;
-          let id = t.next_id.(k) in
-          t.states.(s).(i) <- { Composite.Item.v; id };
-          t.applied_tk.(k) <- ticket;
-          Atomic.incr t.applied.(k);
-          (k, ticket, id))
-        batch
-    in
+  match !acks with
+  | [] -> false
+  | acks ->
     (* Freshness invariant: bump the cell BEFORE the publish.  A cell
        can then read ahead of the outer register (a harmless forced
        miss) but never behind it, which is what makes a single collect
@@ -533,19 +378,15 @@ let drain_shard t s =
     List.iter (fun (k, ticket, id) -> Atomic.set t.acked.(k) (ticket, id)) acks;
     true
 
+let drain_all t =
+  for s = 0 to t.cur_shards - 1 do
+    ignore (drain_shard t s : bool)
+  done
+
 let drain t =
   if t.appliers <> [] then
     invalid_arg "Serve.drain: appliers are running; drain is for manual mode";
-  (* Loop until a quiet pass: an entry re-routed out of a stale batch
-     cell lands in a mailbox whose owning shard may already have been
-     swept this pass. *)
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for s = 0 to t.cur_shards - 1 do
-      if drain_shard t s then progress := true
-    done
-  done
+  drain_all t
 
 let applier t s () =
   let b = Backoff.make t.stalls in
@@ -607,21 +448,13 @@ let stats t =
       (fun acc mb -> if Atomic.get mb = None then acc else acc + 1)
       0 t.mailboxes
   in
-  let pending =
-    Array.fold_left
-      (fun acc cell ->
-        match Atomic.get cell with
-        | None -> acc
-        | Some entries -> acc + List.length entries)
-      pending t.shard_batch
-  in
   {
     posted = sum t.posted;
     coalesced = sum t.coalesced;
     applied = sum t.applied;
     pending;
     publishes = sum t.publishes;
-    batch_installs = Atomic.get t.batch_installs;
+    batch_installs = 0;
     hits = Atomic.get t.hits;
     misses = Atomic.get t.misses;
     stale = Atomic.get t.stale;
@@ -724,23 +557,18 @@ let reshard t ~shards:s' =
   with_span t (Printf.sprintf "reshard.e%d" (e + 1)) @@ fun () ->
   let running = t.appliers <> [] in
   (* 1. Quiesce the appliers of the closing epoch.  Posts and scans
-     keep flowing: posts land in mailboxes/batch cells and are drained
-     into the new layout; scans decode whichever configuration the
-     outer register holds when they collect. *)
+     keep flowing: posts land in mailboxes and are drained into the new
+     layout; scans decode whichever configuration the outer register
+     holds when they collect. *)
   if running then begin
     Atomic.set t.stop true;
     List.iter Domain.join t.appliers;
     t.appliers <- []
   end;
-  (* Two more sweeps on this thread to shrink the carried residue (two,
-     so entries the first pass re-routed reach their owner; not for
-     correctness — anything still pending is drained by the new epoch's
-     appliers, which cover every batch cell and mailbox). *)
-  for _pass = 1 to 2 do
-    for s = 0 to t.cur_shards - 1 do
-      ignore (drain_shard t s : bool)
-    done
-  done;
+  (* One more sweep on this thread to shrink the carried residue (not
+     for correctness: anything still pending is drained by the new
+     epoch's appliers, which own every mailbox between them). *)
+  drain_all t;
   (* 2. Boundary: everything applied up to this instant, as C items
      with their auxiliary ids. *)
   let boundary =
@@ -877,29 +705,24 @@ let shared_scan t ~reader =
     Atomic.incr t.r_combined.(reader);
     sh.sview
   in
-  let perform_private () =
+  (* Collect on our own behalf; as the combiner ([stamp] given) also
+     publish the result and release the lock. *)
+  let perform ?stamp () =
     let c =
       with_span t
         (Printf.sprintf "scan.collect.r%d" reader)
         (fun () -> raw_full_scan t ~reader)
     in
+    (match stamp with
+    | None -> ()
+    | Some stamp ->
+      Atomic.set t.shared_slot (Some { stamp; sview = c });
+      Atomic.set t.combiner_lock false);
     Atomic.incr t.performed;
     Atomic.incr t.r_performed.(reader);
     c
   in
-  let perform_locked ~stamp =
-    let c =
-      with_span t
-        (Printf.sprintf "scan.collect.r%d" reader)
-        (fun () -> raw_full_scan t ~reader)
-    in
-    Atomic.set t.shared_slot (Some { stamp; sview = c });
-    Atomic.set t.combiner_lock false;
-    Atomic.incr t.performed;
-    Atomic.incr t.r_performed.(reader);
-    c
-  in
-  if not t.combine then perform_private ()
+  if not t.combine then perform ()
   else
     let budget = ref enlist_budget in
     (* Short cap: the enlist wait must stay cheap relative to a private
@@ -917,8 +740,8 @@ let shared_scan t ~reader =
                collect started after us, adopt it. *)
             Atomic.set t.combiner_lock false;
             adopt sh
-          | _ -> perform_locked ~stamp:(1 + Atomic.fetch_and_add t.scan_started 1)
-        else if !budget <= 0 then perform_private ()
+          | _ -> perform ~stamp:(1 + Atomic.fetch_and_add t.scan_started 1) ()
+        else if !budget <= 0 then perform ()
         else
           (* Enlist: a combiner's collect is in flight. *)
           with_span t
@@ -929,7 +752,7 @@ let shared_scan t ~reader =
                 | Some sh when sh.stamp > s0 -> adopt sh
                 | Some sh when cache_fresh t sh.sview -> adopt sh
                 | _ ->
-                  if !budget <= 0 then perform_private ()
+                  if !budget <= 0 then perform ()
                   else if Atomic.get t.combiner_lock then begin
                     decr budget;
                     Backoff.once b;
@@ -953,9 +776,7 @@ let scan_items t ~reader =
       t.caches.(reader) <- Some c;
       Array.copy c.snap
     | Some c ->
-      if (not t.validate) || cache_fresh t c then begin
-        (* [validate = false] is the deliberately broken mutant: blind
-           reuse, for the checkers to catch. *)
+      if cache_fresh t c then begin
         Atomic.incr t.hits;
         Array.copy c.snap
       end
@@ -990,7 +811,6 @@ let observe t m =
   c "serve.coalesced" s.coalesced;
   c "serve.applied" s.applied;
   c "serve.publishes" s.publishes;
-  c "serve.batch.installs" s.batch_installs;
   c "serve.cache.hit" s.hits;
   c "serve.cache.miss" s.misses;
   c "serve.cache.stale" s.stale;

@@ -1,6 +1,6 @@
 (** The snapshot {e serving} layer: a long-lived, sharded composite
-    register with write coalescing, batched posts, scan-sharing and
-    validated read caching.
+    register with write coalescing, scan-sharing and validated read
+    caching.
 
     The paper's Section 4 recursion builds a [C]-component register out
     of smaller composite registers; this module applies the same move
@@ -12,7 +12,7 @@
     cross-shard Scan is one linearizable scan of the outer register —
     the serving layer is itself literally an [S]-component composite
     register of shard views.  Every register the hot path touches
-    (version cells, mailboxes, batch cells, counters) lives on its own
+    (version cells, mailboxes, counters) lives on its own
     cache line ({!Composite.Padded_atomic}).
 
     {2 Write path}
@@ -27,16 +27,10 @@
     keeps only the latest value and the earlier one is counted in the
     coalesce counters.  Because the exchange is atomic, every post is
     either applied or coalesced, exactly once:
-    [posted = applied + coalesced + pending].
-
-    A multi-component write can instead use {!post_batch}: its entries
-    are grouped by owning shard and installed into one per-shard
-    {e batch cell} — a single CAS per shard in the uncontended case,
-    and a single exchange for the applier to drain, instead of one
-    exchange per component on both sides.  Batched and mailbox posts to
-    the same component are ordered by the writer's ticket sequence, and
-    whichever loses counts coalesced, so the accounting identity is
-    unchanged.
+    [posted = applied + coalesced + pending].  The mailbox is the only
+    write channel: each one has a single writer and is emptied only by
+    its owning shard's drainer, so a drain is one pass over the owned
+    mailboxes with nothing left to arbitrate.
 
     The synchronous {!update} (the {!handle} path used by the stress
     harness and checkers) posts and then waits for its ticket to be
@@ -89,11 +83,6 @@
     its own outer scan) and is the differential baseline of experiment
     E20's before/after rows.
 
-    Passing [~validate:false] to {!create} produces the deliberately
-    broken mutant that reuses the per-reader cache blindly — the
-    Shrinking and Wing–Gong checkers must flag it (new-old
-    inversions).
-
     {2 Elastic sharding (epochs)}
 
     The shard count is no longer fixed for the service's lifetime:
@@ -117,18 +106,15 @@
     configuration's version cell first, so every validated cache and
     shared snapshot of the old epoch goes stale), installs the new
     layout and respawns appliers.  Writers never stop: posts keep
-    landing in mailboxes and batch cells and are drained into the new
-    layout; batch entries carry absolute component indices, every batch
-    cell is covered by some live applier in every epoch, and entries
-    routed by a stale owner map are re-routed to their owner's mailbox
-    with per-component tickets arbitrating order — so the
+    landing in their components' mailboxes, which the new epoch's
+    appliers drain into the new layout, so the
     [posted = applied + coalesced + pending] identity holds {e per
     epoch} (see {!epoch_stats}), with the boundary residue carried into
     the next epoch.
 
-    Passing [~migrate:false] to {!create} produces the second
-    deliberately broken mutant: {!reshard} publishes the new map but
-    ships the {e previous} epoch's boundary — the observable effect of
+    Passing [~migrate:false] to {!create} produces a deliberately
+    broken mutant: {!reshard} publishes the new map but ships the
+    {e previous} epoch's boundary — the observable effect of
     publishing the map before migrating state.  Acknowledged writes
     from the closing epoch vanish from scans until their components are
     re-written; the checkers must flag the new-old inversions. *)
@@ -176,7 +162,6 @@ type 'a t
 
 val create :
   ?outer:outer_impl ->
-  ?validate:bool ->
   ?cache:bool ->
   ?combine:bool ->
   ?migrate:bool ->
@@ -199,9 +184,8 @@ val create :
     leaving it at the default costs one extra (configuration) component
     over the pre-elastic layout and nothing else.
 
-    [cache] (default [true]) enables per-reader validated caching;
-    [validate] (default [true]) enables the freshness check — disabling
-    it while caching yields the broken caching mutant.  [combine]
+    [cache] (default [true]) enables per-reader validated caching.
+    [combine]
     (default [true]) enables scan-sharing; [~combine:false] preserves
     the pre-combining behavior (every cache miss pays its own outer
     scan).  [migrate] (default [true]): [~migrate:false] is the broken
@@ -273,15 +257,6 @@ val post : 'a t -> writer:int -> 'a -> unit
     the same component down to the latest value.  [writer] is the
     component index (one writer process per component). *)
 
-val post_batch : 'a t -> (int * 'a) list -> unit
-(** Asynchronous multi-component write: all entries staged locally,
-    then installed with one batch-cell CAS per shard touched (counted
-    in [batch_installs]) instead of one exchange per component.  The
-    caller must be the writing process of every component it names;
-    listing a component twice coalesces the earlier entry.  Lock-free:
-    an install retries only if another batch or the applier's drain
-    touched the same shard cell concurrently. *)
-
 val update : 'a t -> writer:int -> 'a -> int
 (** Synchronous write: posts, then waits until the owning applier has
     published the value; returns the auxiliary id it was assigned.
@@ -302,10 +277,10 @@ val handle : 'a t -> 'a Composite.Snapshot.t
     stress harness, checkers and campaigns unchanged. *)
 
 val drain : 'a t -> unit
-(** Manual mode for deterministic unit tests: drain every shard once on
-    the calling thread (batch cells first, then mailboxes).  Raises
-    [Invalid_argument] if appliers are running (shard state is
-    applier-private). *)
+(** Manual mode for deterministic unit tests: drain every shard's
+    mailboxes once on the calling thread.  A drain with every mailbox
+    empty allocates nothing.  Raises [Invalid_argument] if appliers are
+    running (shard state is applier-private). *)
 
 (** {2 Accounting}
 
@@ -314,12 +289,15 @@ val drain : 'a t -> unit
     [scans_requested = scans_combined + scans_performed] identities. *)
 
 type stats = {
-  posted : int;  (** posts accepted across all components (both channels) *)
+  posted : int;  (** posts accepted across all components *)
   coalesced : int;  (** posts superseded before application *)
   applied : int;  (** posts folded into a published view *)
-  pending : int;  (** posts sitting in mailboxes or batch cells *)
+  pending : int;  (** posts sitting in mailboxes *)
   publishes : int;  (** outer-register updates across all shards *)
-  batch_installs : int;  (** successful per-shard batch-cell installs *)
+  batch_installs : int;
+      (** always 0: the batched-post channel it counted is gone, and the
+          field stays only so that code building a [stats] record field
+          by field keeps compiling *)
   hits : int;  (** scans served from a validated private cache *)
   misses : int;  (** scans with no cache to validate *)
   stale : int;  (** scans whose cache failed validation *)
@@ -386,7 +364,7 @@ val epoch_stats : 'a t -> epoch_stats array
 val observe : 'a t -> Obs.Metrics.t -> unit
 (** Accumulate current totals into counters [serve.posted],
     [serve.coalesced], [serve.applied], [serve.publishes],
-    [serve.batch.installs], [serve.cache.hit], [serve.cache.miss],
+    [serve.cache.hit], [serve.cache.miss],
     [serve.cache.stale], [serve.full_scans], [serve.scan.requested],
     [serve.scan.combined], [serve.scan.performed] and [serve.stalls]
     (additive across calls — observe once per service lifetime). *)

@@ -106,36 +106,40 @@ let run_schedule ?metrics (cfg : config) ~schedule =
       ~readers:cfg.readers ~init ()
   in
   Serve.start srv;
-  (* Pace scans on writer progress, as {!Serve_campaign} does: unpaced
-     reader domains would drain all their cached scans before the first
-     write lands and the checkers would see no concurrency. *)
+  (* Pace on writer progress: wait until another write has been applied
+     (or every write is done, or the load has stopped).  Scans are paced
+     as in {!Serve_campaign} — unpaced reader domains would drain all
+     their cached scans before the first write lands and the checkers
+     would see no concurrency.  Reshards are paced too, so every closed
+     epoch has a write applied in it: unpaced, the reconfigurer could
+     walk the whole schedule before the first writer domain ran, leaving
+     the publish-before-migrate mutant nothing to drop (about a third of
+     mutant lifetimes passed clean). *)
   let total_writes = cfg.components * cfg.writer_ops in
   let applied () = (Serve.stats srv).Serve.applied in
   let pace_stalls = Atomic.make 0 in
-  let reader_pace () =
+  let stop = Atomic.make false in
+  let pace () =
     let before = applied () in
     let b = Serve.Backoff.make pace_stalls in
-    while before < total_writes && applied () = before do
+    while
+      before < total_writes && applied () = before && not (Atomic.get stop)
+    do
       Serve.Backoff.once b
     done
   in
-  let stop = Atomic.make false in
   let reconfigurer =
     Domain.spawn (fun () ->
         List.iter
           (fun s ->
             if not (Atomic.get stop) then begin
-              Serve.reshard srv ~shards:s;
-              (* Let some traffic land in the new epoch before the next
-                 switch. *)
-              for _ = 1 to 100 do
-                Domain.cpu_relax ()
-              done
+              pace ();
+              Serve.reshard srv ~shards:s
             end)
           schedule)
   in
   let h =
-    Composite.Multicore.stress ~reader_pace
+    Composite.Multicore.stress ~reader_pace:pace
       ~config:
         {
           Composite.Multicore.writer_ops = cfg.writer_ops;

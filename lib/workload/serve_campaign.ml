@@ -44,6 +44,24 @@ type run_outcome = {
   ro_example : string option;
 }
 
+(* The blind-cache mutant, outside the service: each reader's first
+   scan goes to [h], and every later one returns that same snapshot
+   without revalidating it — the stale reads the checkers must flag.
+   [hits] counts the blind reuses. *)
+let blind_cache hits (h : int Composite.Snapshot.t) =
+  let caches = Array.make h.Composite.Snapshot.readers None in
+  let scan_items ~reader =
+    match caches.(reader) with
+    | Some snap ->
+      Atomic.incr hits;
+      Array.copy snap
+    | None ->
+      let snap = h.Composite.Snapshot.scan_items ~reader in
+      caches.(reader) <- Some snap;
+      Array.copy snap
+  in
+  { h with Composite.Snapshot.scan_items }
+
 (* One service lifetime: build, start the appliers, stress with writer
    and reader domains, stop, check the recorded history.  Self-contained
    and so safe to farm across pool domains (each run's own domains are
@@ -51,8 +69,14 @@ type run_outcome = {
 let run_one worker_metrics (cfg : config) (_ : int) =
   let init = Array.init cfg.components (fun k -> (k + 1) * 10) in
   let srv =
-    Serve.create ~outer:cfg.outer ~validate:cfg.validate ~cache:cfg.cache
-      ~combine:cfg.combine ~shards:cfg.shards ~readers:cfg.readers ~init ()
+    Serve.create ~outer:cfg.outer ~cache:cfg.cache ~combine:cfg.combine
+      ~shards:cfg.shards ~readers:cfg.readers ~init ()
+  in
+  let blind_hits = Atomic.make 0 in
+  let handle =
+    if cfg.cache && not cfg.validate then
+      blind_cache blind_hits (Serve.handle srv)
+    else Serve.handle srv
   in
   Serve.start srv;
   (* Cached scans are orders of magnitude cheaper than synchronous
@@ -85,13 +109,15 @@ let run_one worker_metrics (cfg : config) (_ : int) =
           reader_ops = cfg.reader_ops;
           readers = cfg.readers;
         }
-      ~init ~handle:(Serve.handle srv) ()
+      ~init ~handle ()
   in
   Serve.shutdown srv;
   Serve.observe srv worker_metrics;
-  Obs.Metrics.incr
-    ~by:(Atomic.get pace_stalls)
-    (Obs.Metrics.counter worker_metrics "serve_campaign.pace.stalls");
+  let c name by =
+    Obs.Metrics.incr ~by (Obs.Metrics.counter worker_metrics name)
+  in
+  c "serve_campaign.pace.stalls" (Atomic.get pace_stalls);
+  c "serve_campaign.blind_hits" (Atomic.get blind_hits);
   (* The raw-speed identities must hold exactly at quiescence: every
      post applied or coalesced, every scan request either combined or
      performed (and the outer register paid only for the performed

@@ -8,7 +8,9 @@
     for small configurations, the generic Wing–Gong oracle.  Serving
     the scans through the validated cache must be invisible to both;
     disabling validation ([validate = false] with [cache = true]) is
-    the mutant the checkers must flag. *)
+    the mutant the checkers must flag.  The mutant lives here, not in
+    {!Serve}: it wraps the service's handle, caches each reader's first
+    scan and returns it on every later scan without revalidating. *)
 
 type config = {
   outer : Serve.outer_impl;  (** outer-register construction *)
@@ -18,7 +20,9 @@ type config = {
   writer_ops : int;  (** synchronous updates per writer domain *)
   reader_ops : int;  (** scans per reader domain *)
   runs : int;  (** service lifetimes to stress *)
-  validate : bool;  (** cache freshness checks ([false] = mutant) *)
+  validate : bool;
+      (** cache freshness checks; [false] with [cache] = the blind-cache
+          mutant *)
   cache : bool;
   combine : bool;  (** scan-sharing ([false] = pre-combining baseline) *)
   check_generic : bool;
@@ -51,7 +55,8 @@ val run :
     clean campaigns report bit-identically at every job count.
 
     When [metrics] is given, per-run serve totals accumulate into the
-    [serve.*] counters ({!Serve.observe}), history sizes into histogram
+    [serve.*] counters ({!Serve.observe}), the mutant's blind cache
+    reuses into [serve_campaign.blind_hits], history sizes into histogram
     [serve_campaign.ops_per_run], and the result into counters
     [serve_campaign.runs], [serve_campaign.ops_checked],
     [serve_campaign.flagged_runs], [serve_campaign.generic_failures]

@@ -97,6 +97,36 @@ let test_coalesce_counters () =
   check int "w0 coalesced" 1 w0.Serve.w_coalesced;
   check int "w0 applied" 1 w0.Serve.w_applied
 
+(* The drain is one pass over the owned mailboxes: it coalesces
+   nothing itself (coalescing happens only in a post's exchange), and
+   over empty mailboxes it allocates nothing — the applier runs it on
+   every idle poll. *)
+let test_drain_single_pass () =
+  let c = 64 in
+  let srv = Serve.create ~shards:1 ~readers:1 ~init:(Array.make c 0) () in
+  List.iter (fun k -> Serve.post srv ~writer:k (k + 100)) [ 0; 31; 63 ];
+  Serve.drain srv;
+  let st = Serve.stats srv in
+  check int "posted" 3 st.Serve.posted;
+  check int "pending" 0 st.Serve.pending;
+  check int "no drain-side coalescing" 0 st.Serve.coalesced;
+  check int "posted = applied + coalesced" st.Serve.posted
+    (st.Serve.applied + st.Serve.coalesced);
+  check int "one publish" 1 st.Serve.publishes;
+  let v = Serve.scan srv ~reader:0 in
+  check (Alcotest.list int) "posted values land" [ 100; 131; 163 ]
+    [ v.(0); v.(31); v.(63) ];
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Serve.drain srv
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  check bool
+    (Printf.sprintf "idle drain: %.2f minor words per call < 1" per_call)
+    true (per_call < 1.);
+  check int "idle drains publish nothing" 1 (Serve.stats srv).Serve.publishes
+
 let test_accounting_invariant_under_domains () =
   (* posted = applied + coalesced + pending at every quiescent point,
      including after a real concurrent run (pending = 0 after
@@ -333,112 +363,6 @@ let qcheck_combining_identity_under_domains =
       && st.Serve.pending = 0)
 
 (* ---------------------------------------------------------------- *)
-(* Batched posts (manual drain: fully deterministic)                 *)
-(* ---------------------------------------------------------------- *)
-
-let test_batch_post_counters () =
-  let srv = Serve.create ~shards:2 ~readers:1 ~init:[| 0; 0; 0; 0; 0 |] () in
-  (* One batch spanning both shards: one install per shard touched. *)
-  Serve.post_batch srv [ (0, 1); (2, 3); (4, 5) ];
-  let st = Serve.stats srv in
-  check int "posted" 3 st.Serve.posted;
-  check int "pending (in batch cells)" 3 st.Serve.pending;
-  check int "installs = shards touched" 2 st.Serve.batch_installs;
-  Serve.drain srv;
-  let st = Serve.stats srv in
-  check int "applied" 3 st.Serve.applied;
-  check int "coalesced" 0 st.Serve.coalesced;
-  check int "pending drained" 0 st.Serve.pending;
-  check int "one publish per shard" 2 st.Serve.publishes;
-  check (Alcotest.array int) "batched values land" [| 1; 0; 3; 0; 5 |]
-    (Serve.scan srv ~reader:0)
-
-let test_batch_coalescing_rules () =
-  let srv = Serve.create ~shards:2 ~readers:1 ~init:[| 0; 0; 0 |] () in
-  (* Batch then mailbox to the same component: the mailbox post has the
-     later ticket, so it wins and the batched entry coalesces. *)
-  Serve.post_batch srv [ (0, 10) ];
-  Serve.post srv ~writer:0 11;
-  Serve.drain srv;
-  let st = Serve.stats srv in
-  check int "posted" 2 st.Serve.posted;
-  check int "applied" 1 st.Serve.applied;
-  check int "batched entry coalesced" 1 st.Serve.coalesced;
-  check (Alcotest.array int) "mailbox wins (newer ticket)" [| 11; 0; 0 |]
-    (Serve.scan srv ~reader:0);
-  (* Mailbox then batch: the batch wins. *)
-  Serve.post srv ~writer:1 20;
-  Serve.post_batch srv [ (1, 21) ];
-  Serve.drain srv;
-  let st = Serve.stats srv in
-  check int "coalesced'" 2 st.Serve.coalesced;
-  check (Alcotest.array int) "batch wins (newer ticket)" [| 11; 21; 0 |]
-    (Serve.scan srv ~reader:0);
-  (* A component listed twice in one batch keeps the later entry. *)
-  Serve.post_batch srv [ (2, 30); (2, 31) ];
-  Serve.drain srv;
-  let st = Serve.stats srv in
-  check int "coalesced''" 3 st.Serve.coalesced;
-  check (Alcotest.array int) "later duplicate wins" [| 11; 21; 31 |]
-    (Serve.scan srv ~reader:0);
-  (* Two batches to the same shard before a drain merge; the second
-     install recomputes over the first. *)
-  Serve.post_batch srv [ (0, 40) ];
-  Serve.post_batch srv [ (0, 41); (1, 42) ];
-  Serve.drain srv;
-  let st = Serve.stats srv in
-  check int "posted total" 9 st.Serve.posted;
-  check int "coalesced merge" 4 st.Serve.coalesced;
-  check int "posted = applied + coalesced" st.Serve.posted
-    (st.Serve.applied + st.Serve.coalesced);
-  check (Alcotest.array int) "merged batches" [| 41; 42; 31 |]
-    (Serve.scan srv ~reader:0)
-
-let test_batch_accounting_under_domains () =
-  (* Live appliers; three mailbox writers (components 0-2) and one
-     batch writer owning components 3-5 (tickets are per-component
-     writer state, so a component's posts must come from one domain).
-     The identity must hold exactly at quiescence. *)
-  let srv = Serve.create ~shards:3 ~readers:1 ~init:(Array.make 6 0) () in
-  Serve.start srv;
-  let singles =
-    List.init 3 (fun k ->
-        Domain.spawn (fun () ->
-            for s = 1 to 50 do
-              Serve.post srv ~writer:k ((k * 1000) + s)
-            done;
-            ignore (Serve.update srv ~writer:k ((k * 1000) + 999))))
-  in
-  let batcher =
-    Domain.spawn (fun () ->
-        for s = 1 to 50 do
-          Serve.post_batch srv [ (3, 3000 + s); (4, 4000 + s); (5, 5000 + s) ]
-        done;
-        List.iter
-          (fun k -> ignore (Serve.update srv ~writer:k ((k * 1000) + 999)))
-          [ 3; 4; 5 ])
-  in
-  List.iter Domain.join (batcher :: singles);
-  Serve.shutdown srv;
-  let st = Serve.stats srv in
-  check int "posted" (3 * 51 * 2) st.Serve.posted;
-  check int "pending" 0 st.Serve.pending;
-  check int "posted = applied + coalesced" st.Serve.posted
-    (st.Serve.applied + st.Serve.coalesced);
-  check bool "batch installs happened" true (st.Serve.batch_installs > 0);
-  check (Alcotest.array int) "closing updates win"
-    [| 999; 1999; 2999; 3999; 4999; 5999 |]
-    (Serve.scan srv ~reader:0)
-
-let test_batch_validation () =
-  let srv = Serve.create ~shards:1 ~readers:1 ~init:[| 0 |] () in
-  check bool "bad component rejected" true
-    (try Serve.post_batch srv [ (1, 5) ]; false
-     with Invalid_argument _ -> true);
-  Serve.post_batch srv [];
-  check int "empty batch is a no-op" 0 (Serve.stats srv).Serve.posted
-
-(* ---------------------------------------------------------------- *)
 (* Anderson as differential oracle of the Afek fast path             *)
 (* ---------------------------------------------------------------- *)
 
@@ -464,8 +388,11 @@ let test_differential_anderson_afek () =
       Serve.post f ~writer:k v
     | 1 ->
       let ws = List.init (1 + rand c) (fun _ -> (rand c, rand 1000)) in
-      Serve.post_batch a ws;
-      Serve.post_batch f ws
+      List.iter
+        (fun (k, v) ->
+          Serve.post a ~writer:k v;
+          Serve.post f ~writer:k v)
+        ws
     | 2 ->
       Serve.drain a;
       Serve.drain f
@@ -712,6 +639,8 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "coalesce counters" `Quick test_coalesce_counters;
+          Alcotest.test_case "drain is one allocation-free pass" `Quick
+            test_drain_single_pass;
           Alcotest.test_case "invariant under domains" `Quick
             test_accounting_invariant_under_domains;
           Alcotest.test_case "cache hit/miss/stale" `Quick
@@ -729,15 +658,6 @@ let () =
             test_combining_uncached_adoption;
           Alcotest.test_case "span markers" `Quick test_combining_span_markers;
           QCheck_alcotest.to_alcotest qcheck_combining_identity_under_domains;
-        ] );
-      ( "batched-posts",
-        [
-          Alcotest.test_case "batch counters" `Quick test_batch_post_counters;
-          Alcotest.test_case "coalescing rules" `Quick
-            test_batch_coalescing_rules;
-          Alcotest.test_case "accounting under domains" `Quick
-            test_batch_accounting_under_domains;
-          Alcotest.test_case "validation" `Quick test_batch_validation;
         ] );
       ( "differential",
         [
