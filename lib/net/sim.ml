@@ -83,21 +83,42 @@ type event = {
 type env = {
   n_replicas : int;
   loss : float;
-  crashes : (int * int) list;
+  crash_at : int array;  (* per replica: messages handled before it stops *)
   byzantine : (int * byz_flavor) list;
+  flavors : byz_flavor option array;  (* per replica *)
   byz : byz_stat array;  (* per replica, indexed by replica id *)
   prng : Csim.Schedule.Prng.t;
   mutable handler : handler option;
-  mutable flight : packet list;  (* ascending seq: sends append *)
+  (* In-flight packets in ascending seq order (sends append):
+     [flight.(0 .. in_flight - 1)], the rest of the array is padding. *)
+  mutable flight : packet array;
+  mutable in_flight : int;
   mutable next_seq : int;
   mutable step : int;
   ctr : counters;
   log : bool;
   mutable events : event list;  (* newest first *)
   handled : int array;  (* per replica: messages processed so far *)
-  clocks : (addr, int) Hashtbl.t;  (* per-node Lamport clocks *)
-  client_ctx : (int, ctx) Hashtbl.t;  (* current causal ctx per client *)
+  replica_addr : addr array;  (* [Replica r], built once *)
+  replica_clock : int array;  (* per-replica Lamport clocks *)
+  mutable client_clock : int array;  (* per-client Lamport clocks, grown on demand *)
+  mutable client_ctx : ctx option array;  (* current causal ctx per client *)
 }
+
+type payload += No_payload
+
+let no_packet =
+  { src = Client 0; dst = Client 0; seq = -1; payload = No_payload; lamport = 0;
+    ctx = None }
+
+(* [a] extended with [fill] so that index [i] is valid. *)
+let grow a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
 let create ?(loss = 0.0) ?(crashes = []) ?(byzantine = []) ?(log = false)
     ~replicas ~seed () =
@@ -146,14 +167,22 @@ let create ?(loss = 0.0) ?(crashes = []) ?(byzantine = []) ?(log = false)
   {
     n_replicas = replicas;
     loss;
-    crashes;
+    crash_at =
+      (let a = Array.make replicas max_int in
+       List.iter (fun (r, k) -> a.(r) <- k) crashes;
+       a);
     byzantine;
+    flavors =
+      (let a = Array.make replicas None in
+       List.iter (fun (r, fl) -> a.(r) <- Some fl) byzantine;
+       a);
     byz =
       Array.init replicas (fun _ ->
           { forged = 0; stale_served = 0; equivocations = 0; muted = 0 });
     prng = Csim.Schedule.Prng.make seed;
     handler = None;
-    flight = [];
+    flight = Array.make 16 no_packet;
+    in_flight = 0;
     next_seq = 0;
     step = 0;
     ctr =
@@ -168,8 +197,10 @@ let create ?(loss = 0.0) ?(crashes = []) ?(byzantine = []) ?(log = false)
     log;
     events = [];
     handled = Array.make replicas 0;
-    clocks = Hashtbl.create 16;
-    client_ctx = Hashtbl.create 8;
+    replica_addr = Array.init replicas (fun r -> Replica r);
+    replica_clock = Array.make replicas 0;
+    client_clock = [||];
+    client_ctx = [||];
   }
 
 let replicas env = env.n_replicas
@@ -177,27 +208,32 @@ let now env = env.step
 let set_handler env h = env.handler <- Some h
 let events env = List.rev env.events
 
-let lamport env node =
-  Option.value (Hashtbl.find_opt env.clocks node) ~default:0
+let lamport env = function
+  | Replica r -> if r >= 0 && r < env.n_replicas then env.replica_clock.(r) else 0
+  | Client c ->
+    if c >= 0 && c < Array.length env.client_clock then env.client_clock.(c)
+    else 0
 
 let tick env node witnessed =
   let c = max (lamport env node) witnessed + 1 in
-  Hashtbl.replace env.clocks node c;
+  (match node with
+  | Replica r -> env.replica_clock.(r) <- c
+  | Client j ->
+    env.client_clock <- grow env.client_clock j 0;
+    env.client_clock.(j) <- c);
   c
 
 let set_context env ~client ctx =
-  match ctx with
-  | None -> Hashtbl.remove env.client_ctx client
-  | Some c -> Hashtbl.replace env.client_ctx client c
+  env.client_ctx <- grow env.client_ctx client None;
+  env.client_ctx.(client) <- ctx
 
-let context env ~client = Hashtbl.find_opt env.client_ctx client
+let context env ~client =
+  if client >= 0 && client < Array.length env.client_ctx then
+    env.client_ctx.(client)
+  else None
 
-let crashed env r =
-  match List.assoc_opt r env.crashes with
-  | None -> false
-  | Some k -> env.handled.(r) >= k
-
-let byz_flavor env r = List.assoc_opt r env.byzantine
+let crashed env r = env.handled.(r) >= env.crash_at.(r)
+let byz_flavor env r = env.flavors.(r)
 let byz_stat env r = env.byz.(r)
 
 let byz_stats env =
@@ -214,42 +250,28 @@ let totals env =
     timeouts = env.ctr.timeouts;
   }
 
-let record env kind ~src ~dst ~seq ~payload ?(lamport = 0) ?ctx () =
-  if env.log then
-    env.events <-
-      { at = env.step; kind; e_src = src; e_dst = dst; e_seq = seq;
-        e_payload = payload; e_lamport = lamport; e_ctx = ctx }
-      :: env.events
+(* Callers test [env.log] first, so an unlogged run never builds the
+   event or its [Some] boxes. *)
+let record env kind ~src ~dst ~seq ~payload ~lamport ~ctx =
+  env.events <-
+    { at = env.step; kind; e_src = src; e_dst = dst; e_seq = seq;
+      e_payload = payload; e_lamport = lamport; e_ctx = ctx }
+    :: env.events
 
-(* ------------------------------------------------------------------ *)
-(* Client-side effects                                                *)
-(* ------------------------------------------------------------------ *)
-
-type _ Effect.t +=
-  | Net_send : int * payload -> unit Effect.t
-  | Net_recv : packet option Effect.t
-  | Net_self : int Effect.t
-
-let send r p =
-  try Effect.perform (Net_send (r, p))
-  with Effect.Unhandled _ -> raise Not_in_network
-
-let recv () =
-  try Effect.perform Net_recv with Effect.Unhandled _ -> raise Not_in_network
-
-let self () =
-  try Effect.perform Net_self with Effect.Unhandled _ -> raise Not_in_network
+let record_packet env kind ~lamport p =
+  record env kind ~src:p.src ~dst:p.dst ~seq:p.seq ~payload:(Some p.payload)
+    ~lamport ~ctx:p.ctx
 
 (* ------------------------------------------------------------------ *)
 (* Transport                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let transmit env ~src ~dst ?ctx p =
+let transmit env ~src ~dst ~ctx p =
   (* Causal context: explicit (replica replies inherit the request's),
      else the sending client's current context, if any. *)
   let ctx =
     match (ctx, src) with
-    | (Some _ as c), _ -> c
+    | Some _, _ -> ctx
     | None, Client c -> context env ~client:c
     | None, Replica _ -> None
   in
@@ -257,23 +279,107 @@ let transmit env ~src ~dst ?ctx p =
   let seq = env.next_seq in
   env.next_seq <- seq + 1;
   env.ctr.sent <- env.ctr.sent + 1;
-  record env Ev_send ~src ~dst ~seq ~payload:(Some p) ~lamport ?ctx ();
+  let p = { src; dst; seq; payload = p; lamport; ctx } in
+  if env.log then record_packet env Ev_send ~lamport:p.lamport p;
   if env.loss > 0.0 && Csim.Schedule.Prng.float env.prng < env.loss then begin
     env.ctr.lost <- env.ctr.lost + 1;
-    record env Ev_loss ~src ~dst ~seq ~payload:(Some p) ~lamport ?ctx ()
+    if env.log then record_packet env Ev_loss ~lamport:p.lamport p
   end
-  else env.flight <- env.flight @ [ { src; dst; seq; payload = p; lamport; ctx } ]
+  else begin
+    env.flight <- grow env.flight env.in_flight no_packet;
+    env.flight.(env.in_flight) <- p;
+    env.in_flight <- env.in_flight + 1
+  end
+
+(* Drop the in-flight packet at index [j], keeping seq order. *)
+let remove_flight env j =
+  let n = env.in_flight - 1 in
+  Array.blit env.flight (j + 1) env.flight j (n - j);
+  env.flight.(n) <- no_packet;
+  env.in_flight <- n
+
+(* ------------------------------------------------------------------ *)
+(* Client-side effects                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* What a running client is told about itself, built once per client. *)
+type client = { net : env; id : int; addr : addr }
+
+type _ Effect.t +=
+  | Net_here : client Effect.t
+  | Net_recv : packet option Effect.t
+
+let here () =
+  try Effect.perform Net_here with Effect.Unhandled _ -> raise Not_in_network
+
+let send r p =
+  let c = here () in
+  let env = c.net in
+  if r < 0 || r >= env.n_replicas then
+    invalid_arg
+      (Printf.sprintf "Net.Sim.send: replica %d out of range 0..%d" r
+         (env.n_replicas - 1));
+  transmit env ~src:c.addr ~dst:env.replica_addr.(r) ~ctx:None p
+
+let recv () =
+  try Effect.perform Net_recv with Effect.Unhandled _ -> raise Not_in_network
+
+let self () = (here ()).id
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type parked =
+(* A client blocked in [recv] keeps one record whose continuation is
+   overwritten at every park. *)
+type state =
   | Not_started of (unit -> unit)
-  | At_recv of (packet option, unit) Effect.Deep.continuation
+  | At_recv of { mutable k : (packet option, unit) Effect.Deep.continuation }
   | Finished
 
-type action = A_start of int | A_deliver of packet
+let start state me f =
+  let open Effect.Deep in
+  let i = me.id in
+  let park =
+    Some
+      (fun (k : (packet option, unit) continuation) ->
+        match state.(i) with
+        | At_recv r -> r.k <- k
+        | Not_started _ | Finished -> state.(i) <- At_recv { k })
+  in
+  let here = Some (fun (k : (client, unit) continuation) -> continue k me) in
+  match_with f ()
+    {
+      retc = (fun () -> state.(i) <- Finished);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Net_recv -> (park : ((a, unit) continuation -> unit) option)
+          | Net_here -> (here : ((a, unit) continuation -> unit) option)
+          | _ -> None);
+    }
+
+exception Unwind
+
+(* Free the fiber of every client still blocked in [recv] when [run]
+   escapes with an exception ([Stuck], a bad script), running its
+   finalisers. *)
+let unwind state =
+  Array.iteri
+    (fun i _ ->
+      let rec go () =
+        match state.(i) with
+        | At_recv r ->
+          let k = r.k in
+          (try Effect.Deep.discontinue k Unwind with _ -> ());
+          (match state.(i) with
+          | At_recv r' when r'.k != k -> go ()
+          | _ -> state.(i) <- Finished)
+        | Not_started _ | Finished -> ()
+      in
+      go ())
+    state
 
 let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
   (match env.handler with
@@ -283,51 +389,35 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
   | Some _ -> ());
   let nc = Array.length procs in
   let state = Array.map (fun f -> Not_started f) procs in
+  let me = Array.init nc (fun id -> { net = env; id; addr = Client id }) in
   let start_step = env.step in
   let c0 = totals env in
   let driver = Csim.Schedule.driver policy in
-  let main_handler i : (unit, unit) Effect.Deep.handler =
-    {
-      retc = (fun () -> state.(i) <- Finished);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Net_send (r, p) ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if r < 0 || r >= env.n_replicas then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Net.Sim.send: replica %d out of range 0..%d" r
-                       (env.n_replicas - 1));
-                transmit env ~src:(Client i) ~dst:(Replica r) p;
-                Effect.Deep.continue k ())
-          | Net_recv ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                state.(i) <- At_recv k)
-          | Net_self ->
-            Some (fun (k : (a, unit) Effect.Deep.continuation) ->
-                Effect.Deep.continue k i)
-          | _ -> None);
-    }
+  (* [ids.(n)] is the enabled array [|0; ...; n - 1|] handed to the
+     policy when there are [n] actions, built on first use. *)
+  let ids = ref [||] in
+  let enabled n =
+    if n >= Array.length !ids then ids := grow !ids n [||];
+    if Array.length !ids.(n) <> n then !ids.(n) <- Array.init n Fun.id;
+    !ids.(n)
   in
+  let waiting j = match state.(j) with At_recv _ -> true | _ -> false in
   (* Packets addressed to a client that already returned can never be
      consumed; expire them so they stop showing up as enabled actions. *)
   let purge () =
-    env.flight <-
-      List.filter
-        (fun p ->
-          match p.dst with
-          | Client j when (match state.(j) with Finished -> true | _ -> false)
-            ->
-            env.ctr.expired <- env.ctr.expired + 1;
-            record env Ev_expire ~src:p.src ~dst:p.dst ~seq:p.seq
-              ~payload:(Some p.payload) ~lamport:p.lamport ?ctx:p.ctx ();
-            false
-          | _ -> true)
-        env.flight
+    let kept = ref 0 in
+    for j = 0 to env.in_flight - 1 do
+      let p = env.flight.(j) in
+      match p.dst with
+      | Client c when (match state.(c) with Finished -> true | _ -> false) ->
+        env.ctr.expired <- env.ctr.expired + 1;
+        if env.log then record_packet env Ev_expire ~lamport:p.lamport p
+      | _ ->
+        env.flight.(!kept) <- p;
+        incr kept
+    done;
+    Array.fill env.flight !kept (env.in_flight - !kept) no_packet;
+    env.in_flight <- !kept
   in
   let deliver p =
     env.step <- env.step + 1;
@@ -335,15 +425,13 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
     | Replica r ->
       if crashed env r then begin
         env.ctr.to_crashed <- env.ctr.to_crashed + 1;
-        record env Ev_to_crashed ~src:p.src ~dst:p.dst ~seq:p.seq
-          ~payload:(Some p.payload) ~lamport:p.lamport ?ctx:p.ctx ()
+        if env.log then record_packet env Ev_to_crashed ~lamport:p.lamport p
       end
       else begin
         env.handled.(r) <- env.handled.(r) + 1;
         env.ctr.delivered <- env.ctr.delivered + 1;
         let lamport = tick env p.dst p.lamport in
-        record env Ev_deliver ~src:p.src ~dst:p.dst ~seq:p.seq
-          ~payload:(Some p.payload) ~lamport ?ctx:p.ctx ();
+        if env.log then record_packet env Ev_deliver ~lamport p;
         let src =
           match p.src with Client c -> c | Replica _ -> assert false
         in
@@ -355,16 +443,15 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
                 (Printf.sprintf
                    "Net.Sim: replica %d replied to unknown client %d" r c);
             (* Replies join the causal trace of the request. *)
-            transmit env ~src:(Replica r) ~dst:(Client c) ?ctx:p.ctx reply)
+            transmit env ~src:p.dst ~dst:me.(c).addr ~ctx:p.ctx reply)
           (handler ~replica:r ~src p.payload)
       end
     | Client j -> (
       env.ctr.delivered <- env.ctr.delivered + 1;
       let lamport = tick env p.dst p.lamport in
-      record env Ev_deliver ~src:p.src ~dst:p.dst ~seq:p.seq
-        ~payload:(Some p.payload) ~lamport ?ctx:p.ctx ();
+      if env.log then record_packet env Ev_deliver ~lamport p;
       match state.(j) with
-      | At_recv k -> Effect.Deep.continue k (Some p)
+      | At_recv r -> Effect.Deep.continue r.k (Some p)
       | _ -> assert false)
   in
   let check_budget () =
@@ -374,84 +461,98 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
            (Printf.sprintf
               "network made no progress after %d steps (%d packets in \
                flight, %d timeouts)"
-              max_steps (List.length env.flight)
+              max_steps env.in_flight
               (env.ctr.timeouts - c0.timeouts)))
   in
   let deliverable p =
-    match p.dst with
-    | Replica _ -> true
-    | Client j -> ( match state.(j) with At_recv _ -> true | _ -> false)
+    match p.dst with Replica _ -> true | Client j -> waiting j
   in
+  (* The actions, in canonical order, are the unstarted clients by id
+     and then the deliverable packets by seq; the policy picks an index
+     into that list. *)
   let rec loop () =
     purge ();
-    let starts = ref [] in
-    for i = nc - 1 downto 0 do
-      match state.(i) with
-      | Not_started _ -> starts := A_start i :: !starts
-      | _ -> ()
+    let unstarted = ref 0 in
+    for i = 0 to nc - 1 do
+      match state.(i) with Not_started _ -> incr unstarted | _ -> ()
     done;
-    let deliveries =
-      List.filter_map
-        (fun p -> if deliverable p then Some (A_deliver p) else None)
-        env.flight
-    in
-    let actions = Array.of_list (!starts @ deliveries) in
-    if Array.length actions = 0 then begin
+    let actions = ref !unstarted in
+    for j = 0 to env.in_flight - 1 do
+      if deliverable env.flight.(j) then incr actions
+    done;
+    if !actions = 0 then begin
       (* Quiescent: either everything returned, or every live client is
          blocked in [recv] with nothing deliverable — fire a timeout so
          protocols can retransmit. *)
-      let waiting = ref (-1) in
-      for j = nc - 1 downto 0 do
-        match state.(j) with At_recv _ -> waiting := j | _ -> ()
-      done;
-      if !waiting >= 0 then begin
+      let rec first_waiting j =
+        if j = nc then -1 else if waiting j then j else first_waiting (j + 1)
+      in
+      let j = first_waiting 0 in
+      if j >= 0 then begin
         check_budget ();
         env.step <- env.step + 1;
         env.ctr.timeouts <- env.ctr.timeouts + 1;
-        let lamport = tick env (Client !waiting) 0 in
-        record env Ev_timeout ~src:(Client !waiting) ~dst:(Client !waiting)
-          ~seq:(-1) ~payload:None ~lamport ();
-        let j = !waiting in
+        let addr = me.(j).addr in
+        let lamport = tick env addr 0 in
+        if env.log then
+          record env Ev_timeout ~src:addr ~dst:addr ~seq:(-1) ~payload:None
+            ~lamport ~ctx:None;
         (match state.(j) with
-        | At_recv k -> Effect.Deep.continue k None
+        | At_recv r -> Effect.Deep.continue r.k None
         | _ -> assert false);
         loop ()
       end
     end
     else begin
       check_budget ();
-      let enabled = Array.init (Array.length actions) Fun.id in
-      let idx = Csim.Schedule.pick driver ~enabled ~step:env.step in
-      (match actions.(idx) with
-      | A_start i -> (
-        match state.(i) with
-        | Not_started f -> Effect.Deep.match_with f () (main_handler i)
-        | _ -> assert false)
-      | A_deliver p ->
-        env.flight <- List.filter (fun q -> q.seq <> p.seq) env.flight;
-        deliver p);
+      let idx =
+        Csim.Schedule.pick driver ~enabled:(enabled !actions) ~step:env.step
+      in
+      if idx < !unstarted then begin
+        (* The [idx]-th unstarted client. *)
+        let rec nth i left =
+          match state.(i) with
+          | Not_started f when left = 0 -> start state me.(i) f
+          | Not_started _ -> nth (i + 1) (left - 1)
+          | At_recv _ | Finished -> nth (i + 1) left
+        in
+        nth 0 idx
+      end
+      else begin
+        (* The [idx - unstarted]-th deliverable packet. *)
+        let rec nth j left =
+          let p = env.flight.(j) in
+          if not (deliverable p) then nth (j + 1) left
+          else if left > 0 then nth (j + 1) (left - 1)
+          else begin
+            remove_flight env j;
+            deliver p
+          end
+        in
+        nth 0 (idx - !unstarted)
+      end;
       loop ()
     end
   in
-  loop ();
   (* Drain the backlog still addressed to replicas so every request is
      eventually handled (late acks to returned clients expire).  This
      makes per-operation message counts exact: a run with no faults
      sends precisely the ABD bound. *)
   let rec flush () =
     purge ();
-    match
-      List.find_opt
-        (fun p -> match p.dst with Replica _ -> true | Client _ -> false)
-        env.flight
-    with
-    | None -> ()
-    | Some p ->
-      env.flight <- List.filter (fun q -> q.seq <> p.seq) env.flight;
+    let rec first j =
+      if j = env.in_flight then -1
+      else match env.flight.(j).dst with Replica _ -> j | Client _ -> first (j + 1)
+    in
+    let j = first 0 in
+    if j >= 0 then begin
+      let p = env.flight.(j) in
+      remove_flight env j;
       deliver p;
       flush ()
+    end
   in
-  flush ();
+  Fun.protect ~finally:(fun () -> unwind state) (fun () -> loop (); flush ());
   purge ();
   let c1 = totals env in
   {

@@ -196,7 +196,9 @@ val run :
     order, then pending deliveries in [seq] order — and the policy
     picks an {e index} into it, which is what [Scripted] replay scripts
     record.  Raises {!Stuck} after [max_steps] scheduling events
-    (default 200_000) without completion. *)
+    (default 200_000) without completion.  When [run] raises, every
+    client still blocked in {!recv} is unwound (resumed with a private
+    exception), so its fiber is freed and its finalisers run once. *)
 
 val totals : env -> stats
 (** Absolute counters since [create] (a superset of any one run). *)

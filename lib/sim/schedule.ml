@@ -2,17 +2,23 @@ exception Bad_script of string
 
 module Prng = struct
   (* splitmix64: tiny, fast, reproducible; good enough statistical
-     quality for schedule shuffling. *)
-  type t = { mutable state : int64 }
+     quality for schedule shuffling.  The 64-bit state lives unboxed in
+     8 bytes, so [int] allocates nothing. *)
+  type t = Bytes.t
 
-  let make seed = { state = Int64.of_int seed }
+  let make seed =
+    let t = Bytes.create 8 in
+    Bytes.set_int64_ne t 0 (Int64.of_int seed);
+    t
 
-  let bits64 t =
-    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-    let z = t.state in
+  let[@inline] next t =
+    let z = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+    Bytes.set_int64_ne t 0 z;
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
     Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let bits64 t = next t
 
   let int t bound =
     if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -26,14 +32,14 @@ module Prng = struct
        exact multiple of [bound]. *)
     let overhang = ((max_int mod bound) + 1) mod bound in
     let cutoff = max_int - overhang in
-    let rec draw () =
-      let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-      if r > cutoff then draw () else r mod bound
-    in
-    draw ()
+    let r = ref (Int64.to_int (Int64.shift_right_logical (next t) 2)) in
+    while !r > cutoff do
+      r := Int64.to_int (Int64.shift_right_logical (next t) 2)
+    done;
+    !r mod bound
 
   let float t =
-    let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+    let r = Int64.to_float (Int64.shift_right_logical (next t) 11) in
     r /. 9007199254740992.0
 end
 
@@ -61,14 +67,20 @@ let rec driver = function
     D_scripted { script; pos = 0; fallback = driver fallback }
   | Choose f -> D_choose f
 
-let array_mem x a = Array.exists (fun y -> y = x) a
+let array_mem x a =
+  let rec go i = i < Array.length a && (a.(i) = x || go (i + 1)) in
+  go 0
 
 let rec pick d ~enabled ~step =
   match d with
   | D_round_robin st ->
     (* First enabled id strictly greater than [last], wrapping. *)
-    let above = Array.to_list enabled |> List.filter (fun p -> p > st.last) in
-    let choice = match above with p :: _ -> p | [] -> enabled.(0) in
+    let rec above i =
+      if i = Array.length enabled then enabled.(0)
+      else if enabled.(i) > st.last then enabled.(i)
+      else above (i + 1)
+    in
+    let choice = above 0 in
     st.last <- choice;
     choice
   | D_random prng -> enabled.(Prng.int prng (Array.length enabled))
@@ -85,17 +97,18 @@ let rec pick d ~enabled ~step =
       Array.blit st.granted 0 g 0 (Array.length st.granted);
       st.granted <- g
     end;
-    let best cmp =
-      Array.fold_left
-        (fun acc p ->
-          match acc with
-          | None -> Some p
-          | Some q -> if cmp st.granted.(p) st.granted.(q) then Some p else acc)
-        None enabled
+    (* The first enabled process whose grant count beats every
+       earlier one under [better]. *)
+    let best (better : int -> int -> bool) =
+      let b = ref enabled.(0) in
+      for j = 1 to Array.length enabled - 1 do
+        let p = enabled.(j) in
+        if better st.granted.(p) st.granted.(!b) then b := p
+      done;
+      !b
     in
     let choice =
-      if Prng.float st.prng < 0.25 then Option.get (best ( < ))
-      else Option.get (best ( > ))
+      if Prng.float st.prng < 0.25 then best ( < ) else best ( > )
     in
     st.granted.(choice) <- st.granted.(choice) + 1;
     choice

@@ -48,7 +48,8 @@ val pick : driver -> enabled:int array -> step:int -> int
 
 (** A tiny deterministic splitmix64 PRNG, exposed for workload
     generators that need reproducible randomness independent of
-    [Stdlib.Random]'s global state. *)
+    [Stdlib.Random]'s global state.  Its state is kept unboxed, so an
+    {!int} draw allocates nothing. *)
 module Prng : sig
   type t
 

@@ -30,8 +30,9 @@ let trace env = env.tr
 let total_accesses env = env.step
 
 let note env ~proc text =
-  Trace.record env.tr
-    { Trace.step = env.step; proc; kind = Trace.Note; cell = text; value = "" }
+  if Trace.enabled env.tr then
+    Trace.record env.tr
+      { Trace.step = env.step; proc; kind = Trace.Note; cell = text; value = "" }
 
 let reset_counters env =
   List.iter (fun (Cell.Packed c) -> Cell.reset_counters c) env.cell_registry
@@ -53,94 +54,118 @@ let cell_stats env =
 (* Effects and the scheduler                                            *)
 (* ------------------------------------------------------------------ *)
 
-type _ Effect.t +=
-  | Sim_read : 'a Cell.t -> 'a Effect.t
-  | Sim_write : 'a Cell.t * 'a -> unit Effect.t
-  | Sim_self : int Effect.t
+(* What a parked process is handed back when it is granted its step:
+   the environment to account the access in and its own id. *)
+type proc = { env : env; id : int }
+
+type _ Effect.t += Sim_park : proc Effect.t | Sim_self : int Effect.t
+
+(* Every access parks first and happens only once the scheduler resumes
+   the process: this is what makes each labeled statement atomic while
+   allowing arbitrary interleaving between statements.  [Sim_park]
+   carries no payload, so parking allocates nothing but the
+   continuation itself. *)
+let park () =
+  try Effect.perform Sim_park with Effect.Unhandled _ -> raise Not_in_simulation
+
+let account p ~kind c v =
+  let env = p.env in
+  if Trace.enabled env.tr then
+    Trace.record env.tr
+      {
+        Trace.step = env.step;
+        proc = p.id;
+        kind;
+        cell = Cell.name c;
+        value = Cell.pp_value c v;
+      };
+  env.step <- env.step + 1;
+  if env.observers <> [] then notify_observers env
 
 let read c =
-  try Effect.perform (Sim_read c) with Effect.Unhandled _ -> raise Not_in_simulation
+  let p = park () in
+  let v = Cell.peek c in
+  Cell.count_read c;
+  account p ~kind:Trace.Read c v;
+  v
 
 let write c v =
-  try Effect.perform (Sim_write (c, v)) with
-  | Effect.Unhandled _ -> raise Not_in_simulation
+  let p = park () in
+  Cell.poke c v;
+  Cell.count_write c;
+  account p ~kind:Trace.Write c v
 
 let self () =
   try Effect.perform Sim_self with Effect.Unhandled _ -> raise Not_in_simulation
 
-(* A parked process is waiting for the scheduler to perform its next
-   atomic access.  The access is executed when the process is granted a
-   step, not when it yielded: this is what makes each labeled statement
-   atomic while allowing arbitrary interleaving between statements. *)
-type parked =
+(* A process is parked at its next access (the continuation is
+   overwritten in place at every park) until it returns. *)
+type state =
   | Not_started of (unit -> unit)
-  | At_read : 'a Cell.t * ('a, unit) Effect.Deep.continuation -> parked
-  | At_write : 'a Cell.t * 'a * (unit, unit) Effect.Deep.continuation -> parked
+  | Parked of { mutable k : (proc, unit) Effect.Deep.continuation }
   | Finished
 
 type stats = { steps : int; switches : int }
 
-let handler_for state i =
+(* Run a fresh process to its first park (or to completion).  Its
+   handler and park closure are built here, once per process. *)
+let start state i f =
   let open Effect.Deep in
-  {
-    retc = (fun () -> state.(i) <- Finished);
-    exnc = raise;
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Sim_read c ->
-          Some (fun (k : (a, unit) continuation) -> state.(i) <- At_read (c, k))
-        | Sim_write (c, v) ->
-          Some (fun (k : (a, unit) continuation) -> state.(i) <- At_write (c, v, k))
-        | Sim_self ->
-          (* Identity query: resume immediately, no scheduling step. *)
-          Some (fun (k : (a, unit) continuation) -> continue k i)
-        | _ -> None);
-  }
+  let park =
+    Some
+      (fun (k : (proc, unit) continuation) ->
+        match state.(i) with
+        | Parked r -> r.k <- k
+        | Not_started _ | Finished -> state.(i) <- Parked { k })
+  in
+  let self = Some (fun (k : (int, unit) continuation) -> continue k i) in
+  match_with f ()
+    {
+      retc = (fun () -> state.(i) <- Finished);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Sim_park -> (park : ((a, unit) continuation -> unit) option)
+          | Sim_self -> (self : ((a, unit) continuation -> unit) option)
+          | _ -> None);
+    }
 
-let record_access env ~proc ~kind ~cell ~value =
-  Trace.record env.tr { Trace.step = env.step; proc; kind; cell; value }
-
-(* Execute one step of process [i]: run it up to (and including) its
-   next shared-memory access, or to completion. *)
-let step_proc env state i =
-  match state.(i) with
-  | Finished -> invalid_arg "step_proc: process already finished"
-  | Not_started f -> Effect.Deep.match_with f () (handler_for state i)
-  | At_read (c, k) ->
-    let v = Cell.peek c in
-    Cell.count_read c;
-    record_access env ~proc:i ~kind:Trace.Read ~cell:(Cell.name c)
-      ~value:(Cell.pp_value c v);
-    env.step <- env.step + 1;
-    notify_observers env;
-    Effect.Deep.continue k v
-  | At_write (c, v, k) ->
-    Cell.poke c v;
-    Cell.count_write c;
-    record_access env ~proc:i ~kind:Trace.Write ~cell:(Cell.name c)
-      ~value:(Cell.pp_value c v);
-    env.step <- env.step + 1;
-    notify_observers env;
-    Effect.Deep.continue k ()
-
-(* An access happens only when a parked process is stepped, so a
+(* An access happens only when a parked process is resumed, so a
    freshly-started process "consumes" a scheduling turn to reach its
    first access.  To keep scripted schedules intuitive (one script entry
    = one event of that process), stepping a [Not_started] process
    continues stepping it until it parks at an access or finishes. *)
-let step_until_event env state i =
+let step_until_event state me i =
   (match state.(i) with
-  | Not_started _ ->
-    (* Run the process to its first access point; no event yet. *)
-    step_proc env state i
-  | At_read _ | At_write _ | Finished -> ());
+  | Not_started f -> start state i f
+  | Parked _ | Finished -> ());
   match state.(i) with
   | Finished -> ()  (* the process performed no shared access at all *)
-  | At_read _ | At_write _ ->
-    (* Perform the pending access: exactly one event for this turn. *)
-    step_proc env state i
+  | Parked r -> Effect.Deep.continue r.k me.(i)
   | Not_started _ -> assert false
+
+exception Unwind
+
+(* Free the fiber of every process still parked when a run ends (crash
+   victims, or everyone after [Stuck] or a bad script): resume it with
+   [Unwind] so its stack unwinds and its finalisers run.  A finaliser
+   that accesses memory parks again and is unwound again. *)
+let unwind state =
+  Array.iteri
+    (fun i _ ->
+      let rec go () =
+        match state.(i) with
+        | Parked r ->
+          let k = r.k in
+          (try Effect.Deep.discontinue k Unwind with _ -> ());
+          (match state.(i) with
+          | Parked r' when r'.k != k -> go ()
+          | _ -> state.(i) <- Finished)
+        | _ -> ()
+      in
+      go ())
+    state
 
 (* Fault-model input validation: a typo'd process id or a duplicate
    entry silently weakens (or silently strengthens) the intended fault
@@ -202,6 +227,7 @@ let run env ?(policy = Schedule.Round_robin) ?(max_steps = 10_000_000)
   if n = 0 then { steps = 0; switches = 0 }
   else begin
     let state = Array.map (fun f -> Not_started f) procs in
+    let me = Array.init n (fun id -> { env; id }) in
     let driver = Schedule.driver policy in
     let switches = ref 0 in
     let last = ref (-1) in
@@ -210,12 +236,9 @@ let run env ?(policy = Schedule.Round_robin) ?(max_steps = 10_000_000)
        events it is treated as finished (never scheduled again), its
        current operation left dangling mid-flight. *)
     let events_done = Array.make n 0 in
-    let crash_after p = List.assoc_opt p crashes in
-    let crashed p =
-      match crash_after p with
-      | Some k -> events_done.(p) >= k
-      | None -> false
-    in
+    let crash_at = Array.make n max_int in
+    List.iter (fun (p, k) -> crash_at.(p) <- k) crashes;
+    let crashed p = events_done.(p) >= crash_at.(p) in
     let stall_phase = Array.make n S_released in
     List.iter
       (fun (p, at, dur) -> stall_phase.(p) <- S_armed { at; dur })
@@ -240,13 +263,23 @@ let run env ?(policy = Schedule.Round_robin) ?(max_steps = 10_000_000)
         end
         else true
     in
-    let enabled_ids state =
+    (* The global step at which the earliest stalled process is due
+       back; the enabled set cannot change before it unless the stepped
+       process finishes, crashes or reaches its stall point. *)
+    let due = ref max_int in
+    let enabled_ids () =
       let ids = ref [] in
-      for i = Array.length state - 1 downto 0 do
+      for i = n - 1 downto 0 do
         match state.(i) with
         | Finished -> ()
         | _ -> if not (crashed i) && not (stalled i) then ids := i :: !ids
       done;
+      due := max_int;
+      Array.iter
+        (function
+          | S_stalled { since; dur } -> due := min !due (since + dur)
+          | S_armed _ | S_released -> ())
+        stall_phase;
       Array.of_list !ids
     in
     (* If every runnable process is stalled, no event can occur and the
@@ -272,13 +305,14 @@ let run env ?(policy = Schedule.Round_robin) ?(max_steps = 10_000_000)
         stall_phase.(p) <- S_released;
         true
     in
-    let rec loop () =
-      let enabled = enabled_ids state in
-      let enabled =
-        if Array.length enabled > 0 then enabled
-        else if release_soonest_stall () then enabled_ids state
-        else enabled
-      in
+    let rebuild () =
+      let enabled = enabled_ids () in
+      if Array.length enabled > 0 then enabled
+      else if release_soonest_stall () then enabled_ids ()
+      else enabled
+    in
+    let rec loop enabled =
+      let enabled = if env.step >= !due then rebuild () else enabled in
       if Array.length enabled > 0 then begin
         if env.step - start_step > max_steps then
           raise
@@ -291,12 +325,17 @@ let run env ?(policy = Schedule.Round_robin) ?(max_steps = 10_000_000)
         if i <> !last then incr switches;
         last := i;
         let before = env.step in
-        step_until_event env state i;
+        step_until_event state me i;
         if env.step > before then events_done.(i) <- events_done.(i) + 1;
-        loop ()
+        let changed =
+          (match state.(i) with Finished -> true | _ -> false)
+          || crash_at.(i) < max_int
+          || (match stall_phase.(i) with S_armed _ -> true | _ -> false)
+        in
+        loop (if changed then rebuild () else enabled)
       end
     in
-    loop ();
+    Fun.protect ~finally:(fun () -> unwind state) (fun () -> loop (rebuild ()));
     { steps = env.step - start_step; switches = !switches }
   end
 

@@ -8,8 +8,10 @@
     occur, and each access itself is a single indivisible event.
 
     Processes are ordinary OCaml functions.  Inside a process, shared
-    cells are accessed with {!read} and {!write}, which suspend the
-    process (via an effect) until the scheduler grants it its next step.
+    cells are accessed with {!read} and {!write}, which first park the
+    process (via one payload-free effect) until the scheduler grants it
+    its next step; the access itself happens when the process is
+    resumed, on its own fiber, before it runs on to its next access.
     Everything is single-threaded and deterministic given the policy. *)
 
 type env
@@ -47,10 +49,12 @@ val self : unit -> int
 
 val on_event : env -> (step:int -> unit) -> unit
 (** Register an observer invoked after every shared-memory event, with
-    the post-event value of {!now}.  Observers run at scheduler level
-    (outside any process): they may {!Cell.peek} but must not {!read} or
-    {!write}.  Used to record ghost state for the executable proof
-    lemmas (see [Workload.Lemmas]). *)
+    the post-event value of {!now}.  Observers run on the fiber of the
+    process that was just stepped, right after its access and before it
+    continues: they may {!Cell.peek} but must not {!read} or {!write}
+    (that would park the stepped process inside its own access).  Used
+    to record ghost state for the executable proof lemmas (see
+    [Workload.Lemmas]). *)
 
 val now : env -> int
 (** The number of shared-memory events that have occurred so far.  Used
@@ -135,7 +139,14 @@ val run :
     only through events, so the window could otherwise never elapse).
     At most one crash entry and one stall entry per process; duplicate
     or out-of-range process ids, and negative event counts, raise
-    [Invalid_argument]. *)
+    [Invalid_argument].
+
+    When [run] ends — normally, or by raising {!Stuck},
+    [Schedule.Bad_script] or a process's exception — every process
+    still parked (crash victims, or everyone still running) is unwound:
+    its fiber is resumed with a private exception, so its stack is freed
+    and its [Fun.protect] finalisers run exactly once.  A process must
+    therefore not swallow every exception around an access. *)
 
 val run_solo : env -> ?max_steps:int -> (unit -> unit) -> stats
 (** Run a single process alone; convenient for sequential tests and for

@@ -138,7 +138,7 @@ let stack_description (case : case) =
       faulty
 
 let exec ?metrics ~max_steps (case : case) mode =
-  let env = Sim.create ~trace_capacity:4096 () in
+  let env = Sim.create ~trace:false () in
   let base = Memory.of_sim env in
   let who () = try Sim.self () with Sim.Not_in_simulation -> 0 in
   let stack =

@@ -99,11 +99,7 @@ type mode = Record of Schedule.t | Replay of int array
    the repo) id s, which is what Resilience.complete_dangling assumes
    when materializing a crash victim's pending Write. *)
 let exec ~max_steps (case : case) mode =
-  (* Chaos runs are numerous and can run long under stalls; keep the
-     trace for post-mortem observability but bound its memory with the
-     ring buffer (the retained suffix is what a profiler would want
-     anyway). *)
-  let env = Sim.create ~trace_capacity:4096 () in
+  let env = Sim.create ~trace:false () in
   let base = Memory.of_sim env in
   (* [who] names the asking process for equivocating faults, so two
      concurrent readers really are shown different register faces. *)

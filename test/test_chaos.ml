@@ -328,6 +328,108 @@ let test_cx_script_roundtrip () =
     check bool "parsed replay matches" true (String.equal v v0)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned shared-memory replays                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A minimized anderson [lost-writes] counterexample and its rendered
+   violations, both captured from the campaign before the simulator
+   parked on a payload-free effect.  Replaying the line is a
+   regression lock on when accesses happen relative to scheduler
+   picks. *)
+let pinned_shm_cx =
+  "impl=anderson c=2 r=2 writes=2 scans=2 fault-seed=3 label=lost-writes \
+   faults=lost:0.15 crashes= stalls= script=0,2"
+
+let pinned_shm_violations =
+  String.concat "\n"
+    [
+      "Proximity: Read by p0 returned overwritten id 1 for component 1 \
+       (Write id 2 precedes the Read)";
+      "Proximity: Read by p1 returned overwritten id 1 for component 1 \
+       (Write id 2 precedes the Read)";
+      "Write Precedence: Read by p0 orders a 1-Write against a 0-Write \
+       that precedes it";
+      "Write Precedence: Read by p1 orders a 1-Write against a 0-Write \
+       that precedes it";
+    ]
+
+let test_pinned_shm_replay () =
+  match Workload.Chaos.cx_of_string pinned_shm_cx with
+  | Error e -> Alcotest.fail ("pinned cx_of_string: " ^ e)
+  | Ok cx ->
+    check Alcotest.string "same rendered violations" pinned_shm_violations
+      (Workload.Chaos.render_outcome
+         (Workload.Chaos.replay cx.Workload.Chaos.cx_case
+            ~script:cx.Workload.Chaos.cx_script))
+
+(* The chaos workload of [Chaos.run] on one fixed case that mixes a
+   memory fault, a crash and two stalls, recorded under the given
+   policy: the run's stats and every scheduler pick. *)
+let chaos_schedule policy =
+  let case =
+    {
+      Workload.Chaos.impl = Workload.Campaign.Impl_anderson;
+      prof =
+        Workload.Chaos.profile "mixed" ~crashes:[ (3, 5) ]
+          ~stalls:[ (0, 2, 25); (1, 3, 15) ]
+          ~injections:[ inj (Faults.Lost_write { prob = 0.15 }) ];
+      components = 2;
+      readers = 2;
+      writes_per_writer = 3;
+      scans_per_reader = 3;
+      fault_seed = 3;
+    }
+  in
+  let env = Sim.create ~trace:false () in
+  let who () = try Sim.self () with Sim.Not_in_simulation -> 0 in
+  let mem, _ =
+    Faults.wrap ~seed:case.fault_seed ~who case.prof.injections
+      (Memory.of_sim env)
+  in
+  let init = Array.init case.components (fun k -> (k + 1) * 10) in
+  let handle =
+    Workload.Campaign.make_handle case.impl mem ~readers:case.readers ~init
+  in
+  let r =
+    Composite.Snapshot.record ~clock:(fun () -> Sim.now env) ~initial:init
+      handle
+  in
+  let procs =
+    Array.init (case.components + case.readers) (fun i ->
+        if i < case.components then fun () ->
+          for s = 1 to case.writes_per_writer do
+            r.Composite.Snapshot.rupdate ~writer:i (((i + 1) * 1000) + s)
+          done
+        else fun () ->
+          for _ = 1 to case.scans_per_reader do
+            ignore (r.Composite.Snapshot.rscan ~reader:(i - case.components))
+          done)
+  in
+  let d = Schedule.driver policy in
+  let picks = Buffer.create 64 in
+  let recording =
+    Schedule.Choose
+      (fun ~enabled ~step ->
+        let p = Schedule.pick d ~enabled ~step in
+        Buffer.add_string picks (string_of_int p);
+        p)
+  in
+  let st =
+    Sim.run env ~policy:recording ~crashes:case.prof.crashes
+      ~stalls:case.prof.stalls procs
+  in
+  (st.Sim.steps, st.Sim.switches, Buffer.contents picks)
+
+let test_pinned_shm_schedules () =
+  let pinned = Alcotest.(triple int int string) in
+  check pinned "random seed 3"
+    (44, 12, "32031121023332222222222222222220000000000000")
+    (chaos_schedule (Schedule.Random 3));
+  check pinned "starving seed 4"
+    (44, 18, "00111222322222222323232322220220200000000000")
+    (chaos_schedule (Schedule.Starving 4))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "chaos"
@@ -362,5 +464,12 @@ let () =
             test_minimize_rejects_passing_case;
           Alcotest.test_case "counterexample script round-trip" `Quick
             test_cx_script_roundtrip;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "shm counterexample replays" `Quick
+            test_pinned_shm_replay;
+          Alcotest.test_case "shm schedules and stats" `Quick
+            test_pinned_shm_schedules;
         ] );
     ]

@@ -503,6 +503,85 @@ let test_campaign_net_jobs_identical () =
   check int "no stuck runs over the net backend" 0
     r1.Workload.Campaign.stuck_runs
 
+(* ------------------------------------------------------------------ *)
+(* Scheduler cost and unwinding                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The fixed run of [test_determinism]: two ABD clients, 5 replicas,
+   20% loss and a crash.  With a list-backed flight queue and
+   per-step action lists it allocated 45.6k minor words; the bound is
+   half of that. *)
+let test_allocation_bound () =
+  let run () =
+    let env =
+      mk_env ~loss:0.2 ~crashes:[ (2, 4) ] ~replicas:5 ~seed:11 ()
+    in
+    let abd = Net.Abd.create env in
+    let mem = Net.Abd.memory abd in
+    let client name base () =
+      let c = mem.Csim.Memory.make ~name ~bits:64 0 in
+      for v = 1 to 5 do
+        c.Csim.Memory.write (base + v);
+        ignore (c.Csim.Memory.read ())
+      done
+    in
+    Net.Sim.run env ~policy:(Csim.Schedule.Random 99)
+      [| client "a" 0; client "b" 100 |]
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let st = run () in
+  let words = Gc.minor_words () -. before in
+  check int "same run as ever (sends)" 290 st.Net.Sim.sent;
+  check int "same run as ever (steps)" 256 st.Net.Sim.steps;
+  check bool
+    (Printf.sprintf "%.0f minor words per run <= 22800" words)
+    true (words <= 22_800.)
+
+type Net.Sim.payload += Ping
+
+(* A client blocked in [recv] when [run] raises is unwound: its
+   finaliser runs exactly once. *)
+let test_recv_unwound () =
+  let silent () =
+    let env = mk_env ~replicas:1 ~seed:1 () in
+    Net.Sim.set_handler env (fun ~replica:_ ~src:_ _ -> []);
+    env
+  in
+  let finals = ref 0 in
+  let waiter () =
+    Fun.protect
+      ~finally:(fun () -> incr finals)
+      (fun () ->
+        Net.Sim.send 0 Ping;
+        while true do
+          ignore (Net.Sim.recv ())
+        done)
+  in
+  (* Nothing ever answers, so timeouts run the step budget out. *)
+  let stuck =
+    try
+      ignore (Net.Sim.run (silent ()) ~max_steps:50 [| waiter |]);
+      false
+    with Net.Sim.Stuck _ -> true
+  in
+  check bool "stuck detected" true stuck;
+  check int "the stuck client was unwound once" 1 !finals;
+  finals := 0;
+  (* Client 0 starts and blocks in [recv]; action 5 does not exist. *)
+  let bad =
+    try
+      ignore
+        (Net.Sim.run (silent ())
+           ~policy:
+             (Csim.Schedule.Scripted ([| 0; 5 |], Csim.Schedule.Round_robin))
+           [| waiter; waiter |]);
+      false
+    with Csim.Schedule.Bad_script _ -> true
+  in
+  check bool "bad script rejected" true bad;
+  check int "the blocked client was unwound once" 1 !finals
+
 let () =
   Alcotest.run "net"
     [
@@ -514,6 +593,11 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
           Alcotest.test_case "fault validation" `Quick test_crash_validation;
           Alcotest.test_case "minority crash masked" `Quick test_crash_masked;
+        ] );
+      ( "scheduler",
+        [
+          Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
+          Alcotest.test_case "blocked client unwound" `Quick test_recv_unwound;
         ] );
       ( "linearizability",
         [ QCheck_alcotest.to_alcotest qcheck_abd_linearizable ] );

@@ -380,6 +380,100 @@ let test_prng_spread () =
     buckets
 
 (* ------------------------------------------------------------------ *)
+(* Unwinding parked processes                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A process whose body is wrapped in [Fun.protect]: the counter tells
+   how often its finaliser ran. *)
+let protected finals body () = Fun.protect ~finally:(fun () -> incr finals) body
+
+let test_crash_victim_unwound () =
+  let env = Sim.create ~trace:false () in
+  let c = Sim.make_cell env "c" 0 in
+  let finals = ref 0 in
+  let victim =
+    protected finals (fun () ->
+        for v = 1 to 10 do
+          Sim.write c v
+        done)
+  in
+  let survivor () = ignore (Sim.read c) in
+  let st = Sim.run env ~crashes:[ (0, 3) ] [| victim; survivor |] in
+  check int "victim stopped at its crash point" 3 (Cell.peek c);
+  check int "only the events before the crash ran" 4 st.Sim.steps;
+  check int "the victim's finaliser ran exactly once" 1 !finals
+
+let test_unwound_after_stuck () =
+  let env = Sim.create ~trace:false () in
+  let c = Sim.make_cell env "c" 0 in
+  let finals = ref 0 in
+  let looper =
+    protected finals (fun () ->
+        while Sim.read c = 0 do
+          ()
+        done)
+  in
+  let idle = protected finals (fun () -> Sim.write c 0) in
+  let raised =
+    try
+      ignore (Sim.run env ~max_steps:100 [| looper; looper; idle |]);
+      false
+    with Sim.Stuck _ -> true
+  in
+  check bool "stuck detected" true raised;
+  check int "every started process's finaliser ran once" 3 !finals
+
+let test_unwound_after_bad_script () =
+  let env = Sim.create ~trace:false () in
+  let c = Sim.make_cell env "c" 0 in
+  let finals = ref 0 in
+  let p =
+    protected finals (fun () ->
+        Sim.write c 1;
+        Sim.write c 2)
+  in
+  let raised =
+    try
+      ignore
+        (Sim.run env
+           ~policy:(Schedule.Scripted ([| 0; 1; 7 |], Schedule.Round_robin))
+           [| p; p |]);
+      false
+    with Schedule.Bad_script _ -> true
+  in
+  check bool "bad script rejected" true raised;
+  check int "both parked processes were unwound" 2 !finals
+
+(* ------------------------------------------------------------------ *)
+(* Cost                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_allocation_budget () =
+  (* A step parks on a payload-free effect and resumes a continuation
+     kept in place, so the scheduler itself allocates little more than
+     the continuation per access. *)
+  let run () =
+    let env = Sim.create ~trace:false () in
+    let c = Sim.make_cell env "c" 0 in
+    let proc i () =
+      for k = 1 to 1_000 do
+        if k land 1 = 0 then Sim.write c i else ignore (Sim.read c)
+      done
+    in
+    let procs = Array.init 4 proc in
+    let before = Gc.minor_words () in
+    let st = Sim.run env ~policy:(Schedule.Random 5) procs in
+    (st.Sim.steps, Gc.minor_words () -. before)
+  in
+  ignore (run ());
+  let steps, words = run () in
+  check int "every access is one step" 4_000 steps;
+  let per_access = words /. float_of_int steps in
+  check bool
+    (Printf.sprintf "%.2f minor words per access <= 8" per_access)
+    true (per_access <= 8.)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sim"
@@ -411,6 +505,19 @@ let () =
           Alcotest.test_case "switch counting" `Quick test_switch_count;
           Alcotest.test_case "notes in trace" `Quick test_note_in_trace;
           Alcotest.test_case "now counts events" `Quick test_now_counts_events;
+        ] );
+      ( "unwinding",
+        [
+          Alcotest.test_case "crash victim unwound" `Quick
+            test_crash_victim_unwound;
+          Alcotest.test_case "unwound after stuck" `Quick
+            test_unwound_after_stuck;
+          Alcotest.test_case "unwound after bad script" `Quick
+            test_unwound_after_bad_script;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
         ] );
       ( "trace",
         [
