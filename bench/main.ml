@@ -681,7 +681,7 @@ let e13 ~jobs () =
                 Obs.Json.Int (sum (fun (c : Workload.Chaos.cell) -> c.stuck)) );
               ( "faults_fired",
                 Obs.Json.Int
-                  (sum (fun (c : Workload.Chaos.cell) -> c.faults_fired)) );
+                  (sum (fun (c : Workload.Chaos.cell) -> c.tally.faults_fired)) );
             ];
           Workload.Table.add_row t
             [
@@ -691,7 +691,7 @@ let e13 ~jobs () =
               string_of_int (sum (fun (c : Workload.Chaos.cell) -> c.flagged));
               string_of_int (sum (fun (c : Workload.Chaos.cell) -> c.stuck));
               string_of_int
-                (sum (fun (c : Workload.Chaos.cell) -> c.faults_fired));
+                (sum (fun (c : Workload.Chaos.cell) -> c.tally.faults_fired));
             ])
         [
           ( "process (in-model)",
@@ -715,25 +715,10 @@ let e14 () =
   let profile_of impl =
     let open Csim in
     let env = Sim.create () in
-    let mem = Memory.of_sim env in
-    let init = Array.init 4 (fun k -> (k + 1) * 10) in
-    let handle = Workload.Campaign.make_handle impl mem ~readers:2 ~init in
-    let rec_ =
-      Composite.Snapshot.record ~clock:(fun () -> Sim.now env) ~initial:init
-        handle
-    in
-    let writer k () =
-      for s = 1 to 2 do
-        rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-      done
-    in
-    let reader j () =
-      for _ = 1 to 2 do
-        ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-      done
-    in
-    let procs =
-      Array.init 6 (fun i -> if i < 4 then writer i else reader (i - 4))
+    let _, procs =
+      Workload.Campaign.workload
+        ~clock:(fun () -> Sim.now env)
+        impl (Memory.of_sim env) ~components:4 ~readers:2 ~writes:2 ~scans:2
     in
     let (_ : Sim.stats) = Sim.run env ~policy:(Schedule.Random 1) procs in
     let p = Obs.Profile.of_env env in
@@ -824,30 +809,12 @@ let e15 () =
      large clean history (the case the per-component indexes target). *)
   let open Csim in
   let env = Sim.create ~trace:false () in
-  let mem = Memory.of_sim env in
   let components = 4 and readers = 3 in
-  let init = Array.init components (fun k -> (k + 1) * 10) in
-  let handle =
-    Workload.Campaign.make_handle Workload.Campaign.Impl_anderson mem ~readers
-      ~init
-  in
-  let rec_ =
-    Composite.Snapshot.record ~clock:(fun () -> Sim.now env) ~initial:init
-      handle
-  in
-  let writer k () =
-    for s = 1 to 40 do
-      rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-    done
-  in
-  let reader j () =
-    for _ = 1 to 30 do
-      ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-    done
-  in
-  let procs =
-    Array.init (components + readers) (fun i ->
-        if i < components then writer i else reader (i - components))
+  let rec_, procs =
+    Workload.Campaign.workload
+      ~clock:(fun () -> Sim.now env)
+      Workload.Campaign.Impl_anderson (Memory.of_sim env) ~components ~readers
+      ~writes:40 ~scans:30
   in
   let (_ : Sim.stats) =
     Sim.run env ~policy:(Schedule.Random 42) ~max_steps:10_000_000 procs
@@ -1245,7 +1212,7 @@ let e18 ~jobs () =
                         break) );
       ("break_flagged", Obs.Json.Int break_flagged);
       ("stuck", Obs.Json.Int report.Workload.Byzchaos.total_stuck);
-      ("boundary_holds", Obs.Json.Bool report.Workload.Byzchaos.boundary_holds);
+      ("boundary_holds", Obs.Json.Bool (Workload.Byzchaos.boundary_holds report));
     ];
   Printf.printf
     "\nbyz chaos: %d within-tolerance runs flagged %d (must be 0); beyond \
@@ -1253,11 +1220,11 @@ let e18 ~jobs () =
     (sum (fun (cell : Workload.Byzchaos.cell) -> cell.runs) survive)
     survive_flagged break_flagged
     (sum (fun (cell : Workload.Byzchaos.cell) -> cell.runs) break)
-    (if report.Workload.Byzchaos.boundary_holds then "holds" else "VIOLATED");
+    (if Workload.Byzchaos.boundary_holds report then "holds" else "VIOLATED");
   assert (survive_flagged = 0);
   assert (break_flagged > 0);
   assert (report.Workload.Byzchaos.total_stuck = 0);
-  assert report.Workload.Byzchaos.boundary_holds
+  assert (Workload.Byzchaos.boundary_holds report)
 
 (* ------------------------------------------------------------------ *)
 (* E7 / E8: wall-clock (Bechamel + domain throughput)                   *)
@@ -1682,7 +1649,7 @@ let e19 ~quick () =
          every deterministic counter, must be bit-identical across the
          three modes. *)
       assert (r.Workload.Netchaos.net.Net.Sim.sent = off_msgs);
-      assert (not (Workload.Chaos.outcome_failed r.Workload.Netchaos.outcome));
+      assert (not (Workload.Fault_campaign.outcome_failed r.Workload.Netchaos.outcome));
       Record.row "E19"
         [
           ("kind", Obs.Json.Str "tracing_overhead");
@@ -1696,7 +1663,7 @@ let e19 ~quick () =
           ("mismatched_spans", Obs.Json.Int mismatched);
           ( "clean",
             Obs.Json.Bool
-              (not (Workload.Chaos.outcome_failed r.Workload.Netchaos.outcome))
+              (not (Workload.Fault_campaign.outcome_failed r.Workload.Netchaos.outcome))
           );
           ("wall_seconds", Obs.Json.Float wall);
           ("run_us_wall", Obs.Json.Float (wall /. float_of_int reps *. 1e6));

@@ -680,27 +680,10 @@ let trace_cmd =
 let profile_run impl components readers writes scans seed json =
   let open Csim in
   let env = Sim.create () in
-  let mem = Memory.of_sim env in
-  let init = Array.init components (fun k -> (k + 1) * 10) in
-  let note = Obs.Span.emitter env in
-  let handle = Workload.Campaign.make_handle ~note impl mem ~readers ~init in
-  let rec_ =
-    Composite.Snapshot.record ~note ~clock:(fun () -> Sim.now env) ~initial:init
-      handle
-  in
-  let writer k () =
-    for s = 1 to writes do
-      rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-    done
-  in
-  let reader j () =
-    for _ = 1 to scans do
-      ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-    done
-  in
-  let procs =
-    Array.init (components + readers) (fun p ->
-        if p < components then writer p else reader (p - components))
+  let _, procs =
+    Workload.Campaign.workload ~note:(Obs.Span.emitter env)
+      ~clock:(fun () -> Sim.now env)
+      impl (Memory.of_sim env) ~components ~readers ~writes ~scans
   in
   let (_ : Sim.stats) = Sim.run env ~policy:(Schedule.Random seed) procs in
   let p = Obs.Profile.of_env env in
@@ -834,96 +817,165 @@ let resilience_cmd =
     Term.(const resilience $ components $ readers $ max_crash $ seed)
 
 (* ------------------------------------------------------------------ *)
-(* chaos                                                                *)
+(* Fault campaigns: chaos, net, byz                                     *)
 (* ------------------------------------------------------------------ *)
 
-let chaos impls components readers writes scans seeds base_seed faults
-    profile_names minimize_budget jobs pool_trace expect_clean expect_flagged
-    replay =
-  match replay with
-  | Some script -> begin
-    (* Re-execute a minimized counterexample emitted by a campaign. *)
-    match Workload.Chaos.cx_of_string script with
+(* The flags every fault-campaign subcommand shares, [impls] already
+   defaulted. *)
+type sweep_flags = {
+  impls : Workload.Campaign.impl list;
+  components : int;
+  readers : int;
+  writes : int;
+  scans : int;
+  seeds : int;
+  base_seed : int;
+  minimize_budget : int;
+  expect_flagged : bool;
+}
+
+(* What a subcommand makes of the shared flags with its own. *)
+type ('profile, 'config, 'report) plan = {
+  adhoc : 'profile option;
+      (* one profile built from the subcommand's fault flags; overrides
+         --profile *)
+  known : 'profile list;  (* the default taxonomy --profile picks from *)
+  config : 'profile list -> 'config;
+  scope : string;  (* banner fields between the seed count and C= *)
+  finish : 'report -> unit;  (* exports and extra exit conditions *)
+}
+
+module Fault_cmd (F : Workload.Fault_campaign.S) = struct
+  (* Re-execute a minimized counterexample emitted by a campaign. *)
+  let replay line =
+    match F.cx_of_string line with
     | Error msg ->
       Printf.eprintf "cannot parse replay script: %s\n" msg;
       exit 2
-    | Ok cx ->
-      let outcome =
-        Workload.Chaos.replay cx.Workload.Chaos.cx_case
-          ~script:cx.Workload.Chaos.cx_script
-      in
-      (match outcome with
-      | Workload.Chaos.Passed ->
+    | Ok cx -> (
+      match F.replay cx.F.cx_case ~script:cx.F.cx_script with
+      | Workload.Fault_campaign.Passed ->
         print_endline "replay: passed (no violation reproduced)";
         exit 1
-      | Workload.Chaos.Diverged msg ->
+      | Diverged msg ->
         Printf.printf "replay: script diverged (%s)\n" msg;
         exit 1
-      | Workload.Chaos.Stuck_run msg ->
+      | Stuck_run msg ->
         Printf.printf "replay: reproduced a progress failure: %s\n" msg
-      | Workload.Chaos.Flagged vs ->
+      | Flagged vs ->
         Printf.printf "replay: reproduced %d violation(s):\n" (List.length vs);
         List.iter
           (fun v -> Format.printf "  %a@." History.Shrinking.pp_violation v)
           vs)
-  end
-  | None ->
-    let impls = if impls = [] then Workload.Campaign.all_impls else impls in
+
+  let campaign ~title s profile_names jobs pool_trace expect_clean plan =
     let profiles =
-      match faults with
-      | _ :: _ ->
-        (* Explicit fault specs build one ad-hoc faulty-memory profile. *)
-        [ Workload.Chaos.profile "cli" ~injections:faults ]
-      | [] ->
-        let all = Workload.Chaos.default_profiles ~components ~readers in
-        (match profile_names with
-        | [] -> all
-        | names ->
-          List.filter
-            (fun (p : Workload.Chaos.profile) -> List.mem p.label names)
-            all)
+      match (plan.adhoc, profile_names) with
+      | Some p, _ -> [ p ]
+      | None, [] -> plan.known
+      | None, names -> List.filter (fun p -> List.mem (F.label p) names) plan.known
     in
     if profiles = [] then begin
       Printf.eprintf "no profile matched (known: %s)\n"
-        (String.concat ", "
-           (List.map
-              (fun (p : Workload.Chaos.profile) -> p.label)
-              (Workload.Chaos.default_profiles ~components ~readers)));
+        (String.concat ", " (List.map F.label plan.known));
       exit 2
     end;
-    let cfg =
+    (* No [jobs] in the banner: output is bit-identical at every job
+       count, and the CI legs diff it. *)
+    Printf.printf
+      "%s: %d impl(s) x %d profile(s) x %d seed(s), %sC=%d R=%d \
+       ops/proc=%d/%d\n\n\
+       %!"
+      title (List.length s.impls) (List.length profiles) s.seeds plan.scope
+      s.components s.readers s.writes s.scans;
+    let r =
+      with_pool_trace pool_trace (fun pool ->
+          F.run ~jobs ~pool (plan.config profiles))
+    in
+    Format.printf "%a@." F.pp_report r;
+    List.iter
+      (fun (c : F.cell) ->
+        Option.iter (Format.printf "@.%a@." F.pp_counterexample) c.counterexample)
+      r.cells;
+    plan.finish r;
+    if expect_clean && (r.total_flagged > 0 || r.total_stuck > 0) then exit 1;
+    if s.expect_flagged && r.total_flagged = 0 then exit 1
+
+  (* The subcommand: the shared flags, then [plan] over the
+     subcommand's own. *)
+  let cmd ~name ~doc ~title ~impls ~schedules ~budget ~adhoc_flags plan =
+    let sweep impl_list components readers writes scans seeds base_seed
+        minimize_budget expect_flagged =
       {
-        Workload.Chaos.default with
-        impls;
-        profiles;
+        impls = (if impl_list = [] then impls else impl_list);
         components;
         readers;
-        writes_per_writer = writes;
-        scans_per_reader = scans;
+        writes;
+        scans;
         seeds;
         base_seed;
         minimize_budget;
+        expect_flagged;
       }
     in
-    Printf.printf
-      "chaos campaign: %d impl(s) x %d profile(s) x %d seed(s), C=%d R=%d \
-       ops/proc=%d/%d jobs=%d\n\n\
-       %!"
-      (List.length impls) (List.length profiles) seeds components readers
-      writes scans jobs;
-    let r =
-      with_pool_trace pool_trace (fun pool ->
-          Workload.Chaos.run ~jobs ~pool cfg)
+    let flags =
+      Term.(
+        const sweep
+        $ Arg.(
+            value & opt_all impl_conv []
+            & info [ "impl" ]
+                ~doc:
+                  (Printf.sprintf "Implementation(s) to stress (default: %s)."
+                     (String.concat ", "
+                        (List.map Workload.Campaign.impl_name impls))))
+        $ Arg.(value & opt int 2 & info [ "c"; "components" ] ~doc:"Components.")
+        $ Arg.(value & opt int 2 & info [ "r"; "readers" ] ~doc:"Readers.")
+        $ Arg.(value & opt int 2 & info [ "writes" ] ~doc:"Writes per writer.")
+        $ Arg.(value & opt int 2 & info [ "scans" ] ~doc:"Scans per reader.")
+        $ schedules_term ~default:schedules
+            ~doc:"Seeded schedules per (impl, profile) cell."
+        $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed.")
+        $ Arg.(
+            value & opt int budget
+            & info [ "minimize-budget" ]
+                ~doc:"Replays the counterexample minimizer may spend (0 disables).")
+        $ Arg.(
+            value & flag
+            & info [ "expect-flagged" ]
+                ~doc:"Exit nonzero if no run is flagged (negative-control mode)."))
     in
-    Format.printf "%a@." Workload.Chaos.pp_report r;
-    List.iter
-      (fun (c : Workload.Chaos.cell) ->
-        match c.counterexample with
-        | Some cx -> Format.printf "@.%a@." Workload.Chaos.pp_counterexample cx
-        | None -> ())
-      r.cells;
-    if expect_clean && (r.total_flagged > 0 || r.total_stuck > 0) then exit 1;
-    if expect_flagged && r.total_flagged = 0 then exit 1
+    let profiles =
+      Arg.(
+        value & opt_all string []
+        & info [ "profile" ]
+            ~doc:
+              ("Profile(s) from the default taxonomy (repeatable; default: \
+                all).  See the report for the labels.  Overridden by "
+             ^ adhoc_flags ^ "."))
+    in
+    let expect_clean =
+      Arg.(
+        value & flag
+        & info [ "expect-clean" ] ~doc:"Exit nonzero if any run is flagged or stuck.")
+    in
+    let replay_arg =
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "replay" ]
+            ~doc:"Replay a minimized counterexample script verbatim and report.")
+    in
+    let run s profile_names jobs pool_trace expect_clean line plan =
+      match line with
+      | Some line -> replay line
+      | None ->
+        campaign ~title s profile_names jobs pool_trace expect_clean (plan s)
+    in
+    Cmd.v (Cmd.info name ~doc)
+      Term.(
+        const run $ flags $ profiles $ jobs_arg $ pool_trace_arg $ expect_clean
+        $ replay_arg $ plan)
+end
 
 let fault_conv =
   let parse s =
@@ -935,26 +987,8 @@ let fault_conv =
   Arg.conv (parse, print)
 
 let chaos_cmd =
-  let impls =
-    Arg.(
-      value & opt_all impl_conv []
-      & info [ "impl" ] ~doc:"Implementation(s) to stress (default: all).")
-  in
-  let components =
-    Arg.(value & opt int 2 & info [ "c"; "components" ] ~doc:"Components.")
-  in
-  let readers = Arg.(value & opt int 2 & info [ "r"; "readers" ] ~doc:"Readers.") in
-  let writes =
-    Arg.(value & opt int 2 & info [ "writes" ] ~doc:"Writes per writer.")
-  in
-  let scans =
-    Arg.(value & opt int 2 & info [ "scans" ] ~doc:"Scans per reader.")
-  in
-  let seeds =
-    schedules_term ~default:10
-      ~doc:"Seeded schedules per (impl, profile) cell."
-  in
-  let base_seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed.") in
+  let module C = Fault_cmd (Workload.Chaos) in
+  let open Workload.Chaos in
   let faults =
     Arg.(
       value & opt_all fault_conv []
@@ -964,205 +998,45 @@ let chaos_cmd =
              in lost|stuck|stutter|corrupt|regular, e.g. lost:0.2 or \
              regular:2\\@Y.  Overrides --profile.")
   in
-  let profiles =
-    Arg.(
-      value & opt_all string []
-      & info [ "profile" ]
-          ~doc:
-            "Fault profile(s) from the default taxonomy (repeatable; default: \
-             all).  See the report for the labels.")
+  let plan faults (s : sweep_flags) =
+    {
+      (* Explicit fault specs build one ad-hoc faulty-memory profile. *)
+      adhoc = (if faults = [] then None else Some (profile "cli" ~injections:faults));
+      known = default_profiles ~components:s.components ~readers:s.readers;
+      config =
+        (fun profiles ->
+          {
+            default with
+            impls = s.impls;
+            profiles;
+            components = s.components;
+            readers = s.readers;
+            writes_per_writer = s.writes;
+            scans_per_reader = s.scans;
+            seeds = s.seeds;
+            base_seed = s.base_seed;
+            minimize_budget = s.minimize_budget;
+          });
+      scope = "";
+      finish = ignore;
+    }
   in
-  let minimize_budget =
-    Arg.(
-      value & opt int 3000
-      & info [ "minimize-budget" ]
-          ~doc:"Replays the counterexample minimizer may spend (0 disables).")
-  in
-  let expect_clean =
-    Arg.(
-      value & flag
-      & info [ "expect-clean" ]
-          ~doc:"Exit nonzero if any run is flagged or stuck.")
-  in
-  let expect_flagged =
-    Arg.(
-      value & flag
-      & info [ "expect-flagged" ]
-          ~doc:"Exit nonzero if no run is flagged (negative-control mode).")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ]
-          ~doc:"Replay a minimized counterexample script verbatim and report.")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Fault-injection campaigns: faulty base memory (lost/stuck/stuttered \
-          writes, read corruption, regular-register weakening), process \
-          crashes and stall/resume faults, adversarial starvation \
-          scheduling; flagged runs are delta-debugged to a minimal \
-          replayable counterexample.")
-    Term.(
-      const chaos $ impls $ components $ readers $ writes $ scans $ seeds
-      $ base_seed $ faults $ profiles $ minimize_budget $ jobs_arg
-      $ pool_trace_arg $ expect_clean $ expect_flagged $ replay)
-
-(* ------------------------------------------------------------------ *)
-(* net                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let net impls replicas crash loss broken_quorum byz components readers writes
-    scans seeds base_seed profile_names minimize_budget timeline causal_trace
-    jobs pool_trace expect_clean expect_flagged replay =
-  match replay with
-  | Some script -> begin
-    match Workload.Netchaos.cx_of_string script with
-    | Error msg ->
-      Printf.eprintf "cannot parse replay script: %s\n" msg;
-      exit 2
-    | Ok cx ->
-      let outcome =
-        Workload.Netchaos.replay cx.Workload.Netchaos.cx_case
-          ~script:cx.Workload.Netchaos.cx_script
-      in
-      (match outcome with
-      | Workload.Chaos.Passed ->
-        print_endline "replay: passed (no violation reproduced)";
-        exit 1
-      | Workload.Chaos.Diverged msg ->
-        Printf.printf "replay: script diverged (%s)\n" msg;
-        exit 1
-      | Workload.Chaos.Stuck_run msg ->
-        Printf.printf "replay: reproduced a progress failure: %s\n" msg
-      | Workload.Chaos.Flagged vs ->
-        Printf.printf "replay: reproduced %d violation(s):\n" (List.length vs);
-        List.iter
-          (fun v -> Format.printf "  %a@." History.Shrinking.pp_violation v)
-          vs)
-  end
-  | None ->
-    let impls =
-      if impls = [] then
-        [ Workload.Campaign.Impl_anderson; Workload.Campaign.Impl_afek ]
-      else impls
-    in
-    let profiles =
-      if crash > 0 || loss > 0.0 || broken_quorum || byz <> [] then
-        (* Explicit knobs build one ad-hoc profile: the last [crash]
-           replicas stop early, each message lost with prob [loss],
-           the [--byz] replicas lie. *)
-        [
-          Workload.Netchaos.profile "cli" ~loss
-            ~crashes:(List.init crash (fun j -> (replicas - 1 - j, 3 + j)))
-            ~byz
-            ?quorum:(if broken_quorum then Some 1 else None);
-        ]
-      else
-        let all = Workload.Netchaos.default_profiles ~replicas in
-        (match profile_names with
-        | [] -> all
-        | names ->
-          List.filter
-            (fun (p : Workload.Netchaos.profile) -> List.mem p.label names)
-            all)
-    in
-    if profiles = [] then begin
-      Printf.eprintf "no profile matched (known: %s)\n"
-        (String.concat ", "
-           (List.map
-              (fun (p : Workload.Netchaos.profile) -> p.label)
-              (Workload.Netchaos.default_profiles ~replicas)));
-      exit 2
-    end;
-    let cfg =
-      {
-        Workload.Netchaos.default with
-        impls;
-        profiles;
-        replicas;
-        components;
-        readers;
-        writes_per_writer = writes;
-        scans_per_reader = scans;
-        seeds;
-        base_seed;
-        minimize_budget;
-      }
-    in
-    (* No [jobs] in the banner: output is bit-identical at every job
-       count, and the CI legs diff it. *)
-    Printf.printf
-      "net chaos campaign: %d impl(s) x %d profile(s) x %d seed(s), n=%d \
-       replicas, C=%d R=%d ops/proc=%d/%d\n\n\
-       %!"
-      (List.length impls) (List.length profiles) seeds replicas components
-      readers writes scans;
-    let r =
-      with_pool_trace pool_trace (fun pool ->
-          Workload.Netchaos.run ~jobs ~pool cfg)
-    in
-    Format.printf "%a@." Workload.Netchaos.pp_report r;
-    List.iter
-      (fun (c : Workload.Netchaos.cell) ->
-        match c.counterexample with
-        | Some cx ->
-          Format.printf "@.%a@." Workload.Netchaos.pp_counterexample cx
-        | None -> ())
-      r.cells;
-    (* One representative logged run for either export: first impl,
-       first profile, base seed. *)
-    let rep_case () =
-      {
-        Workload.Netchaos.impl = List.hd impls;
-        prof = List.hd profiles;
-        replicas;
-        components;
-        readers;
-        writes_per_writer = writes;
-        scans_per_reader = scans;
-        seed = base_seed;
-      }
-    in
-    (match timeline with
-    | None -> ()
-    | Some path ->
-      let tr =
-        Workload.Netchaos.export_timeline ~pp:Net.Abd.payload_label
-          (rep_case ()) ~path
-      in
-      Printf.printf "wrote message timeline (%d sent, %d delivered) to %s\n"
-        tr.Workload.Netchaos.net.Net.Sim.sent
-        tr.Workload.Netchaos.net.Net.Sim.delivered path);
-    (match causal_trace with
-    | None -> ()
-    | Some path ->
-      let tr, c =
-        Workload.Netchaos.export_causal ~pp:Net.Abd.payload_label (rep_case ())
-          ~path
-      in
-      Printf.printf
-        "wrote merged causal trace (%d msgs, %d spans, %d unclosed, %d \
-         mismatched) to %s\n"
-        tr.Workload.Netchaos.net.Net.Sim.sent (Obs.Causal.span_count c)
-        (Obs.Causal.unclosed_count c) (Obs.Causal.mismatched c) path);
-    if expect_clean && (r.total_flagged > 0 || r.total_stuck > 0) then exit 1;
-    if expect_flagged && r.total_flagged = 0 then exit 1
+  C.cmd ~name:"chaos" ~title:"chaos campaign" ~impls:default.impls
+    ~schedules:default.seeds ~budget:default.minimize_budget
+    ~adhoc_flags:"--fault"
+    ~doc:
+      "Fault-injection campaigns: faulty base memory (lost/stuck/stuttered \
+       writes, read corruption, regular-register weakening), process \
+       crashes and stall/resume faults, adversarial starvation \
+       scheduling; flagged runs are delta-debugged to a minimal \
+       replayable counterexample."
+    Term.(const plan $ faults)
 
 let net_cmd =
-  let impls =
-    Arg.(
-      value & opt_all impl_conv []
-      & info [ "impl" ]
-          ~doc:"Implementation(s) to run over the network (default: \
-                anderson, afek).")
-  in
+  let module C = Fault_cmd (Workload.Netchaos) in
+  let open Workload.Netchaos in
   let replicas =
-    Arg.(
-      value & opt int 3
-      & info [ "replicas" ] ~docv:"N" ~doc:"Server replicas.")
+    Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"N" ~doc:"Server replicas.")
   in
   let crash =
     Arg.(
@@ -1187,30 +1061,12 @@ let net_cmd =
              intersection argument; the checkers must catch it.")
   in
   let byz =
-    let byz_conv =
-      let parse s =
-        match String.index_opt s ':' with
-        | None ->
-          Error (`Msg "expected REPLICA:FLAVOR, e.g. 1:forge")
-        | Some i ->
-          let r = String.sub s 0 i
-          and fl = String.sub s (i + 1) (String.length s - i - 1) in
-          (match (int_of_string_opt r, Net.Sim.byz_flavor_of_string fl) with
-          | Some r, Some fl -> Ok (r, fl)
-          | None, _ -> Error (`Msg (Printf.sprintf "bad replica number %S" r))
-          | _, None ->
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "unknown flavor %S (forge|stale|equivocate|mute)" fl)))
-      in
-      let print fmt (r, fl) =
-        Format.fprintf fmt "%d:%s" r (Net.Sim.byz_flavor_to_string fl)
-      in
-      Arg.conv (parse, print)
+    let parse s =
+      Result.map_error (fun m -> `Msg m) (Net.Sim.byz_replica_of_string s)
     in
+    let print fmt b = Format.pp_print_string fmt (Net.Sim.byz_replica_to_string b) in
     Arg.(
-      value & opt_all byz_conv []
+      value & opt_all (conv (parse, print)) []
       & info [ "byz" ] ~docv:"REPLICA:FLAVOR"
           ~doc:
             "Make a replica Byzantine instead of crash-stop (repeatable, \
@@ -1218,35 +1074,6 @@ let net_cmd =
              timestamps), stale (serves the initial value), equivocate \
              (answers honestly or stale by client parity) or mute.  The ABD \
              emulation makes no Byzantine claim, so expect flags.")
-  in
-  let components =
-    Arg.(value & opt int 2 & info [ "c"; "components" ] ~doc:"Components.")
-  in
-  let readers = Arg.(value & opt int 2 & info [ "r"; "readers" ] ~doc:"Readers.") in
-  let writes =
-    Arg.(value & opt int 2 & info [ "writes" ] ~doc:"Writes per writer.")
-  in
-  let scans =
-    Arg.(value & opt int 2 & info [ "scans" ] ~doc:"Scans per reader.")
-  in
-  let seeds =
-    schedules_term ~default:10
-      ~doc:"Seeded schedules per (impl, profile) cell."
-  in
-  let base_seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed.") in
-  let profiles =
-    Arg.(
-      value & opt_all string []
-      & info [ "profile" ]
-          ~doc:
-            "Network fault profile(s) from the default taxonomy (repeatable; \
-             default: all).  Overridden by --crash/--loss/--broken-quorum.")
-  in
-  let minimize_budget =
-    Arg.(
-      value & opt int 3000
-      & info [ "minimize-budget" ]
-          ~doc:"Replays the counterexample minimizer may spend (0 disables).")
   in
   let timeline =
     Arg.(
@@ -1268,170 +1095,88 @@ let net_cmd =
              quorum phase and per-replica rpc, plus the message timeline \
              with flow arrows joining sends to deliveries.")
   in
-  let expect_clean =
-    Arg.(
-      value & flag
-      & info [ "expect-clean" ]
-          ~doc:"Exit nonzero if any run is flagged or stuck.")
-  in
-  let expect_flagged =
-    Arg.(
-      value & flag
-      & info [ "expect-flagged" ]
-          ~doc:"Exit nonzero if no run is flagged (negative-control mode).")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ]
-          ~doc:"Replay a minimized counterexample script verbatim and report.")
-  in
-  Cmd.v
-    (Cmd.info "net"
-       ~doc:
-         "Run the composite constructions over the message-passing backend \
-          (ABD quorum emulation on a simulated crash-prone network) under \
-          message loss, reordering, replica crashes and Byzantine replicas; \
-          flagged runs are delta-debugged over the message schedule to a \
-          minimal replayable counterexample.")
-    Term.(
-      const net $ impls $ replicas $ crash $ loss $ broken_quorum $ byz
-      $ components $ readers $ writes $ scans $ seeds $ base_seed $ profiles
-      $ minimize_budget $ timeline $ causal_trace $ jobs_arg $ pool_trace_arg
-      $ expect_clean $ expect_flagged $ replay)
-
-(* ------------------------------------------------------------------ *)
-(* byz                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let byz_chaos impls components readers writes scans seeds base_seed faults
-    tolerance unprotected profile_names minimize_budget jobs pool_trace
-    expect_clean expect_flagged replay =
-  match replay with
-  | Some script -> begin
-    match Workload.Byzchaos.cx_of_string script with
-    | Error msg ->
-      Printf.eprintf "cannot parse replay script: %s\n" msg;
-      exit 2
-    | Ok cx ->
-      let outcome =
-        Workload.Byzchaos.replay cx.Workload.Byzchaos.cx_case
-          ~script:cx.Workload.Byzchaos.cx_script
-      in
-      (match outcome with
-      | Workload.Chaos.Passed ->
-        print_endline "replay: passed (no violation reproduced)";
-        exit 1
-      | Workload.Chaos.Diverged msg ->
-        Printf.printf "replay: script diverged (%s)\n" msg;
-        exit 1
-      | Workload.Chaos.Stuck_run msg ->
-        Printf.printf "replay: reproduced a progress failure: %s\n" msg
-      | Workload.Chaos.Flagged vs ->
-        Printf.printf "replay: reproduced %d violation(s):\n" (List.length vs);
-        List.iter
-          (fun v -> Format.printf "  %a@." History.Shrinking.pp_violation v)
-          vs)
-  end
-  | None ->
-    let impls =
-      if impls = [] then
-        [ Workload.Campaign.Impl_anderson; Workload.Campaign.Impl_afek ]
-      else impls
-    in
-    let profiles =
-      match faults with
-      | _ :: _ ->
-        (* Explicit adversary specs build one ad-hoc profile; the
-           expectation follows the expect flag so the boundary report
-           stays meaningful. *)
-        let protection =
-          if unprotected then Workload.Byzchaos.Unprotected
-          else Workload.Byzchaos.Tolerant tolerance
-        in
-        let expect =
-          if expect_flagged then Workload.Byzchaos.Break
-          else Workload.Byzchaos.Survive
-        in
-        [ Workload.Byzchaos.profile "cli" ~protection ~expect faults ]
-      | [] ->
-        let all = Workload.Byzchaos.default_profiles ~components ~readers in
-        (match profile_names with
-        | [] -> all
-        | names ->
-          List.filter
-            (fun (p : Workload.Byzchaos.profile) -> List.mem p.label names)
-            all)
-    in
-    if profiles = [] then begin
-      Printf.eprintf "no profile matched (known: %s)\n"
-        (String.concat ", "
-           (List.map
-              (fun (p : Workload.Byzchaos.profile) -> p.label)
-              (Workload.Byzchaos.default_profiles ~components ~readers)));
-      exit 2
-    end;
-    let cfg =
+  let plan replicas crash loss broken_quorum byz timeline causal_trace
+      (s : sweep_flags) =
+    (* One representative logged run for either export: first impl,
+       first profile, base seed. *)
+    let rep_case (r : report) =
+      let c = List.hd r.cells in
       {
-        Workload.Byzchaos.default with
-        impls;
-        profiles;
-        components;
-        readers;
-        writes_per_writer = writes;
-        scans_per_reader = scans;
-        seeds;
-        base_seed;
-        minimize_budget;
+        impl = c.cell_impl;
+        prof = c.cell_profile;
+        replicas;
+        components = s.components;
+        readers = s.readers;
+        writes_per_writer = s.writes;
+        scans_per_reader = s.scans;
+        seed = s.base_seed;
       }
     in
-    (* No [jobs] in the banner: output is bit-identical at every job
-       count, and the CI legs diff it. *)
-    Printf.printf
-      "byzantine campaign: %d impl(s) x %d profile(s) x %d seed(s), C=%d \
-       R=%d ops/proc=%d/%d\n\n\
-       %!"
-      (List.length impls) (List.length profiles) seeds components readers
-      writes scans;
-    let r =
-      with_pool_trace pool_trace (fun pool ->
-          Workload.Byzchaos.run ~jobs ~pool cfg)
+    let finish r =
+      Option.iter
+        (fun path ->
+          let tr = export_timeline ~pp:Net.Abd.payload_label (rep_case r) ~path in
+          Printf.printf "wrote message timeline (%d sent, %d delivered) to %s\n"
+            tr.net.Net.Sim.sent tr.net.Net.Sim.delivered path)
+        timeline;
+      Option.iter
+        (fun path ->
+          let tr, c = export_causal ~pp:Net.Abd.payload_label (rep_case r) ~path in
+          Printf.printf
+            "wrote merged causal trace (%d msgs, %d spans, %d unclosed, %d \
+             mismatched) to %s\n"
+            tr.net.Net.Sim.sent (Obs.Causal.span_count c)
+            (Obs.Causal.unclosed_count c) (Obs.Causal.mismatched c) path)
+        causal_trace
     in
-    Format.printf "%a@." Workload.Byzchaos.pp_report r;
-    List.iter
-      (fun (c : Workload.Byzchaos.cell) ->
-        match c.counterexample with
-        | Some cx ->
-          Format.printf "@.%a@." Workload.Byzchaos.pp_counterexample cx
-        | None -> ())
-      r.cells;
-    if expect_clean && (r.total_flagged > 0 || r.total_stuck > 0) then exit 1;
-    if expect_flagged && r.total_flagged = 0 then exit 1;
-    if not r.boundary_holds then exit 1
+    {
+      adhoc =
+        (* Explicit knobs build one ad-hoc profile: the last [crash]
+           replicas stop early, each message is lost with prob [loss],
+           the [--byz] replicas lie. *)
+        (if crash > 0 || loss > 0.0 || broken_quorum || byz <> [] then
+           Some
+             (profile "cli" ~loss
+                ~crashes:(List.init crash (fun j -> (replicas - 1 - j, 3 + j)))
+                ~byz
+                ?quorum:(if broken_quorum then Some 1 else None))
+         else None);
+      known = default_profiles ~replicas;
+      config =
+        (fun profiles ->
+          {
+            default with
+            impls = s.impls;
+            profiles;
+            replicas;
+            components = s.components;
+            readers = s.readers;
+            writes_per_writer = s.writes;
+            scans_per_reader = s.scans;
+            seeds = s.seeds;
+            base_seed = s.base_seed;
+            minimize_budget = s.minimize_budget;
+          });
+      scope = Printf.sprintf "n=%d replicas, " replicas;
+      finish;
+    }
+  in
+  C.cmd ~name:"net" ~title:"net chaos campaign" ~impls:default.impls
+    ~schedules:default.seeds ~budget:default.minimize_budget
+    ~adhoc_flags:"--crash/--loss/--broken-quorum/--byz"
+    ~doc:
+      "Run the composite constructions over the message-passing backend \
+       (ABD quorum emulation on a simulated crash-prone network) under \
+       message loss, reordering, replica crashes and Byzantine replicas; \
+       flagged runs are delta-debugged over the message schedule to a \
+       minimal replayable counterexample."
+    Term.(
+      const plan $ replicas $ crash $ loss $ broken_quorum $ byz $ timeline
+      $ causal_trace)
 
 let byz_cmd =
-  let impls =
-    Arg.(
-      value & opt_all impl_conv []
-      & info [ "impl" ]
-          ~doc:"Implementation(s) to stress (default: anderson, afek).")
-  in
-  let components =
-    Arg.(value & opt int 2 & info [ "c"; "components" ] ~doc:"Components.")
-  in
-  let readers = Arg.(value & opt int 2 & info [ "r"; "readers" ] ~doc:"Readers.") in
-  let writes =
-    Arg.(value & opt int 2 & info [ "writes" ] ~doc:"Writes per writer.")
-  in
-  let scans =
-    Arg.(value & opt int 2 & info [ "scans" ] ~doc:"Scans per reader.")
-  in
-  let seeds =
-    schedules_term ~default:6
-      ~doc:"Seeded schedules per (impl, profile) cell."
-  in
-  let base_seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed.") in
+  let module C = Fault_cmd (Workload.Byzchaos) in
+  let open Workload.Byzchaos in
   let faults =
     Arg.(
       value & opt_all fault_conv []
@@ -1460,55 +1205,51 @@ let byz_cmd =
              implementations read the faulty memory directly (negative \
              control; combine with --expect-flagged).")
   in
-  let profiles =
-    Arg.(
-      value & opt_all string []
-      & info [ "profile" ]
-          ~doc:
-            "Profile(s) from the default survive/break taxonomy (repeatable; \
-             default: all).  Overridden by --fault.")
+  let plan faults tolerance unprotected (s : sweep_flags) =
+    {
+      (* Explicit adversary specs build one ad-hoc profile; the
+         expectation follows the expect flag so the boundary report
+         stays meaningful. *)
+      adhoc =
+        (if faults = [] then None
+         else
+           Some
+             (profile "cli"
+                ~protection:(if unprotected then Unprotected else Tolerant tolerance)
+                ~expect:(if s.expect_flagged then Break else Survive)
+                faults));
+      known = default_profiles ~components:s.components ~readers:s.readers;
+      config =
+        (fun profiles ->
+          {
+            default with
+            impls = s.impls;
+            profiles;
+            components = s.components;
+            readers = s.readers;
+            writes_per_writer = s.writes;
+            scans_per_reader = s.scans;
+            seeds = s.seeds;
+            base_seed = s.base_seed;
+            minimize_budget = s.minimize_budget;
+          });
+      scope = "";
+      finish = (fun r -> if not (boundary_holds r) then exit 1);
+    }
   in
-  let minimize_budget =
-    Arg.(
-      value & opt int 1200
-      & info [ "minimize-budget" ]
-          ~doc:"Replays the counterexample minimizer may spend (0 disables).")
-  in
-  let expect_clean =
-    Arg.(
-      value & flag
-      & info [ "expect-clean" ]
-          ~doc:"Exit nonzero if any run is flagged or stuck.")
-  in
-  let expect_flagged =
-    Arg.(
-      value & flag
-      & info [ "expect-flagged" ]
-          ~doc:"Exit nonzero if no run is flagged (negative-control mode).")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ]
-          ~doc:"Replay a minimized counterexample script verbatim and report.")
-  in
-  Cmd.v
-    (Cmd.info "byz"
-       ~doc:
-         "Byzantine survive/break campaigns: the composite constructions run \
-          over the f-tolerant Byzantine register construction whose base \
-          cells equivocate, regress timestamps and lie under a budget; \
-          survive profiles (adversary within f) must stay clean, break \
-          profiles (budget exceeded, or the unprotected stack) must be \
-          caught and delta-debugged to a minimal replayable counterexample.  \
-          Exits nonzero if any profile lands on the wrong side of the \
-          tolerance boundary.")
-    Term.(
-      const byz_chaos $ impls $ components $ readers $ writes $ scans $ seeds
-      $ base_seed $ faults $ tolerance $ unprotected $ profiles
-      $ minimize_budget $ jobs_arg $ pool_trace_arg $ expect_clean
-      $ expect_flagged $ replay)
+  C.cmd ~name:"byz" ~title:"byzantine campaign" ~impls:default.impls
+    ~schedules:default.seeds ~budget:default.minimize_budget
+    ~adhoc_flags:"--fault"
+    ~doc:
+      "Byzantine survive/break campaigns: the composite constructions run \
+       over the f-tolerant Byzantine register construction whose base \
+       cells equivocate, regress timestamps and lie under a budget; \
+       survive profiles (adversary within f) must stay clean, break \
+       profiles (budget exceeded, or the unprotected stack) must be \
+       caught and delta-debugged to a minimal replayable counterexample.  \
+       Exits nonzero if any profile lands on the wrong side of the \
+       tolerance boundary."
+    Term.(const plan $ faults $ tolerance $ unprotected)
 
 (* ------------------------------------------------------------------ *)
 (* serve (E17's correctness side)                                       *)
@@ -2147,30 +1888,11 @@ let stat seed =
   let profile, shm_spans, shm_mismatched =
     let open Csim in
     let env = Sim.create () in
-    let mem = Memory.of_sim env in
-    let init = Array.init 4 (fun k -> (k + 1) * 10) in
-    let note = Obs.Span.emitter env in
-    let handle =
-      Workload.Campaign.make_handle ~note Workload.Campaign.Impl_anderson mem
-        ~readers:2 ~init
-    in
-    let rec_ =
-      Composite.Snapshot.record ~note
+    let rec_, procs =
+      Workload.Campaign.workload ~note:(Obs.Span.emitter env)
         ~clock:(fun () -> Sim.now env)
-        ~initial:init handle
-    in
-    let writer k () =
-      for s = 1 to 2 do
-        rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-      done
-    in
-    let reader j () =
-      for _ = 1 to 2 do
-        ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-      done
-    in
-    let procs =
-      Array.init 6 (fun p -> if p < 4 then writer p else reader (p - 4))
+        Workload.Campaign.Impl_anderson (Memory.of_sim env) ~components:4
+        ~readers:2 ~writes:2 ~scans:2
     in
     let (_ : Sim.stats) = Sim.run env ~policy:(Schedule.Random seed) procs in
     Workload.Campaign.observe_op_latencies m ~prefix:"campaign.shm"
@@ -2208,11 +1930,11 @@ let stat seed =
     s.Net.Sim.timeouts;
   Printf.printf "  outcome: %s\n"
     (match r.Workload.Netchaos.outcome with
-    | Workload.Chaos.Passed -> "clean"
-    | Workload.Chaos.Flagged vs ->
+    | Workload.Fault_campaign.Passed -> "clean"
+    | Workload.Fault_campaign.Flagged vs ->
       Printf.sprintf "FLAGGED (%d violations)" (List.length vs)
-    | Workload.Chaos.Stuck_run msg -> "STUCK: " ^ msg
-    | Workload.Chaos.Diverged msg -> "DIVERGED: " ^ msg);
+    | Workload.Fault_campaign.Stuck_run msg -> "STUCK: " ^ msg
+    | Workload.Fault_campaign.Diverged msg -> "DIVERGED: " ^ msg);
   Printf.printf
     "  causal spans: %d collected, %d unclosed (crashed-replica rpcs), %d \
      mismatched\n"

@@ -42,6 +42,20 @@ let byz_flavor_of_string = function
   | "mute" -> Some Mute
   | _ -> None
 
+let byz_replica_to_string (r, fl) =
+  Printf.sprintf "%d:%s" r (byz_flavor_to_string fl)
+
+let byz_replica_of_string s =
+  match String.split_on_char ':' s with
+  | [ r; fl ] -> (
+    match (int_of_string_opt r, byz_flavor_of_string fl) with
+    | Some r, Some fl -> Ok (r, fl)
+    | None, _ -> Error (Printf.sprintf "bad replica number %S" r)
+    | _, None ->
+      Error
+        (Printf.sprintf "unknown flavor %S (forge|stale|equivocate|mute)" fl))
+  | _ -> Error "expected REPLICA:FLAVOR, e.g. 1:forge"
+
 type byz_stat = {
   mutable forged : int;
   mutable stale_served : int;

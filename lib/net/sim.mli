@@ -95,6 +95,11 @@ val byz_flavor_of_string : string -> byz_flavor option
 (** Round-tripping names ["forge"], ["stale"], ["equivocate"], ["mute"]
     — the forms counterexample scripts and CLI flags use. *)
 
+val byz_replica_to_string : int * byz_flavor -> string
+val byz_replica_of_string : string -> (int * byz_flavor, string) result
+(** A Byzantine replica as [REPLICA:FLAVOR], e.g. ["1:forge"]: the
+    form of [net --byz] and of [byz=] in replay scripts. *)
+
 type byz_stat = {
   mutable forged : int;  (** forged-timestamp replies and dropped stores *)
   mutable stale_served : int;  (** initial-value replies by [Stale_replies] *)

@@ -148,6 +148,13 @@ val run :
     and its [Fun.protect] finalisers run exactly once.  A process must
     therefore not swallow every exception around an access. *)
 
+val validate_faults :
+  n:int -> crashes:(int * int) list -> stalls:(int * int * int) list -> unit
+(** The fault checks {!run} applies before it starts [n] processes:
+    raises [Invalid_argument] on an out-of-range or duplicate process
+    id, or a negative event count.  For callers that take fault lists
+    from outside, such as replay-script parsers. *)
+
 val run_solo : env -> ?max_steps:int -> (unit -> unit) -> stats
 (** Run a single process alone; convenient for sequential tests and for
     measuring the exact per-operation access counts of Section 4's time

@@ -12,13 +12,16 @@
       must check out clean;
     - {e break} profiles exceed the budget, or remove the protective
       layer entirely (the unprotected stack), and the Shrinking oracle
-      must catch the regression; the failure is delta-debugged — over
-      the adversary's injections and the schedule — to a minimal
-      counterexample replaying deterministically from a one-line
-      script.
+      must catch the regression.
 
-    Mirrors {!Chaos} (benign memory faults) and {!Netchaos} (network
-    faults) in shape: record → judge → ddmin → replay script. *)
+    The Byzantine substrate of {!Fault_campaign}, beside {!Chaos}
+    (benign memory and process faults) and {!Netchaos} (network
+    faults): the engine records, judges and delta-debugs the runs —
+    over the adversary's injections, then the schedule — and prints
+    each minimized counterexample as a one-line script for
+    [byz --replay].  No crash excuses: all Shrinking conditions must
+    hold.  On top of the engine's report this module checks the
+    survive/break boundary ({!as_expected}, {!boundary_holds}). *)
 
 type protection =
   | Unprotected
@@ -86,63 +89,30 @@ val stack_description : case -> string
     ["byzantine(f=1,ports=4) over byz:1:1 over sim"] ({!Csim.Faults.describe}
     composed with the protection layer). *)
 
-val replay : case -> script:int array -> Chaos.outcome
-(** Re-execute a case under [Scripted (script, Round_robin)].
-    Deterministic: same case + same script = same outcome.  No crash
-    excuses: all Shrinking conditions must hold. *)
-
-type counterexample = {
-  cx_case : case;  (** with the {e minimized} adversary *)
-  cx_script : int array;
-  cx_violations : string;
-  cx_stack : string;  (** active fault stack of the minimized case *)
-  cx_original_entries : int;
-  cx_original_elements : int;
-  cx_replays : int;
-}
-
-val minimize : budget:int -> case -> script:int array -> counterexample
-(** Delta-debug a failing (case, script) pair: shrink the adversary's
-    injection list, then the schedule, preserving failure kind.  The
-    protection layer is part of the case and is never dropped — it
-    names the construction under accusation. *)
-
-val cx_to_string : counterexample -> string
-(** One-line replay script (for [byz --replay]). *)
-
-val cx_of_string : string -> (counterexample, string) result
-val pp_counterexample : Format.formatter -> counterexample -> unit
-
-type cell = {
-  cell_impl : Campaign.impl;
-  cell_profile : profile;
-  runs : int;
-  flagged : int;
-  stuck : int;
+type tally = {
   faults_fired : int;
   cells_claimed : int;
       (** base cells owned by budgeted adversaries, summed over runs *)
-  as_expected : bool;
-      (** [Survive] rows stayed clean / [Break] rows were caught *)
-  counterexample : counterexample option;  (** first failing run, minimized *)
 }
 
-type report = {
-  cells : cell list;
-  total_runs : int;
-  total_flagged : int;
-  total_stuck : int;
-  boundary_holds : bool;  (** every cell matched its profile's side *)
-}
+include
+  Fault_campaign.S
+    with type profile := profile
+     and type config := config
+     and type case := case
+     and type tally := tally
+(** The protection layer is part of the case and is never minimized
+    away — it names the construction under accusation.  Scripts read
+    [impl=... prot=... c=... r=... writes=... scans=... fault-seed=...
+    label=... faults=... script=...].  The report's [total:] line ends
+    with [boundary=holds] or [boundary=VIOLATED].  With [metrics],
+    {!run} books counters [byz.runs], [byz.flagged], [byz.stuck],
+    [byz.faults_fired], [byz.cells_claimed], [byz.minimize_replays],
+    histograms [byz.schedule_entries] and [byzchaos.scan.latency] /
+    [byzchaos.update.latency]. *)
 
-val run :
-  ?jobs:int -> ?pool:Exec.Pool.recorder -> ?metrics:Obs.Metrics.t ->
-  config -> report
-(** The {impl × profile × seed} sweep, sharded over domains; the merge
-    (and minimization of the first failing seed per cell) is
-    sequential, so the report is bit-identical at every job count.
-    With [metrics]: counters [byz.runs], [byz.flagged], [byz.stuck],
-    [byz.faults_fired], [byz.cells_claimed], [byz.minimize_replays];
-    histogram [byz.schedule_entries]. *)
+val as_expected : cell -> bool
+(** [Survive] rows stayed clean / [Break] rows were caught. *)
 
-val pp_report : Format.formatter -> report -> unit
+val boundary_holds : report -> bool
+(** Every cell matched its profile's side. *)

@@ -73,19 +73,22 @@ type result = {
   example : string option;
 }
 
-let workload_procs cfg rec_ =
-  let writer k () =
-    for s = 1 to cfg.writes_per_writer do
-      rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-    done
-  in
-  let reader j () =
-    for _ = 1 to cfg.scans_per_reader do
-      ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-    done
-  in
-  Array.init (cfg.components + cfg.readers) (fun i ->
-      if i < cfg.components then writer i else reader (i - cfg.components))
+let procs rec_ ~components ~readers ~writes ~scans =
+  Array.init (components + readers) (fun i () ->
+      if i < components then
+        for s = 1 to writes do
+          rec_.Composite.Snapshot.rupdate ~writer:i (((i + 1) * 1000) + s)
+        done
+      else
+        for _ = 1 to scans do
+          ignore (rec_.Composite.Snapshot.rscan ~reader:(i - components))
+        done)
+
+let workload ?note ~clock impl mem ~components ~readers ~writes ~scans =
+  let init = Array.init components (fun k -> (k + 1) * 10) in
+  let handle = make_handle ?note impl mem ~readers ~init in
+  let rec_ = Composite.Snapshot.record ?note ~clock ~initial:init handle in
+  (rec_, procs rec_ ~components ~readers ~writes ~scans)
 
 (* One seeded schedule, end to end: simulate, collect the history, run
    every checker.  Self-contained (its own [Sim.create]) and so safe to
@@ -213,13 +216,11 @@ let run_one worker_metrics cfg i =
         ~procs:(cfg.components + cfg.readers)
     in
     let init = Array.init cfg.components (fun k -> (k + 1) * 10) in
-    let handle =
-      make_handle cfg.impl inst.Backend.memory ~readers:cfg.readers ~init
+    let rec_, procs =
+      workload ~clock:inst.Backend.clock cfg.impl inst.Backend.memory
+        ~components:cfg.components ~readers:cfg.readers
+        ~writes:cfg.writes_per_writer ~scans:cfg.scans_per_reader
     in
-    let rec_ =
-      Composite.Snapshot.record ~clock:inst.Backend.clock ~initial:init handle
-    in
-    let procs = workload_procs cfg rec_ in
     let outcome =
       match inst.Backend.drive procs with
       | Backend.Stuck_run -> stuck_outcome
@@ -312,27 +313,9 @@ let exhaustive ?(max_runs = 200_000) ~impl ~components ~readers
   let first_failure = ref None in
   let factory () =
     let env = Sim.create ~trace:false () in
-    let mem = Memory.of_sim env in
-    let init = Array.init components (fun k -> (k + 1) * 10) in
-    let handle = make_handle impl mem ~readers ~init in
-    let rec_ =
-      Composite.Snapshot.record
-        ~clock:(fun () -> Sim.now env)
-        ~initial:init handle
-    in
-    let writer k () =
-      for s = 1 to writes_per_writer do
-        rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-      done
-    in
-    let reader j () =
-      for _ = 1 to scans_per_reader do
-        ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-      done
-    in
-    let procs =
-      Array.init (components + readers) (fun i ->
-          if i < components then writer i else reader (i - components))
+    let rec_, procs =
+      workload ~clock:(fun () -> Sim.now env) impl (Memory.of_sim env)
+        ~components ~readers ~writes:writes_per_writer ~scans:scans_per_reader
     in
     let check (_ : Sim.env) =
       let h = Composite.Snapshot.history rec_ in

@@ -30,6 +30,32 @@ val make_handle :
     [bits_per_value] (default 64) is the declared register width, for
     space accounting in the simulator. *)
 
+val procs :
+  int Composite.Snapshot.recorded ->
+  components:int ->
+  readers:int ->
+  writes:int ->
+  scans:int ->
+  (unit -> unit) array
+(** The writers/readers workload every campaign runs: process
+    [k < components] is writer [k], whose [s]-th Write has input
+    [(k+1)*1000 + s] and (for every implementation in the repo) id [s],
+    which {!Resilience.complete_dangling} relies on; every other process
+    Scans [scans] times. *)
+
+val workload :
+  ?note:(string -> unit) ->
+  clock:(unit -> int) ->
+  impl ->
+  Csim.Memory.t ->
+  components:int ->
+  readers:int ->
+  writes:int ->
+  scans:int ->
+  int Composite.Snapshot.recorded * (unit -> unit) array
+(** {!procs} over a fresh recorded handle whose component [k] starts at
+    [(k+1)*10]; [note] goes to {!make_handle} and the recorder. *)
+
 type config = {
   impl : impl;
   backend : Backend.t;

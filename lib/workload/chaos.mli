@@ -20,14 +20,18 @@
     {e memory} assumption must be caught by the oracle, exactly as the
     deliberately-wrong implementations are.
 
-    When a run is flagged, the campaign delta-debugs the failing
-    (schedule, fault set) pair down to a locally-minimal reproduction:
-    chaos elements (injections, crashes, stalls) are removed first,
-    then schedule entries, re-running the candidate after each removal
-    and keeping it only if the violation persists.  The result replays
-    deterministically via [Schedule.Scripted] and serializes to a
-    one-line script ({!cx_to_string} / {!cx_of_string}) that the
-    [chaos] CLI subcommand can re-execute. *)
+    Judging: for profiles with crashes, the victim's dangling Write is
+    first completed ({!Resilience.complete_dangling}) and residual
+    [Integrity] violations — artifacts of writes left half-published by
+    a crash — are excused, as in the resilience sweep.  Everything else
+    counts.
+
+    The record → judge → minimize → replay pipeline is
+    {!Fault_campaign}'s: chaos elements (injections, crashes, stalls)
+    shrink first, then the schedule, and a counterexample prints as
+    [impl=... c=... r=... writes=... scans=... fault-seed=... label=...
+    faults=... crashes=... stalls=... script=...], which the [chaos]
+    CLI subcommand re-executes with [--replay]. *)
 
 open Csim
 
@@ -75,24 +79,11 @@ type config = {
 
 val default : config
 
-type outcome =
-  | Passed
-  | Flagged of History.Shrinking.violation list
-      (** non-linearizable (after crash-completion, see below) *)
-  | Stuck_run of string  (** step budget exhausted: progress failure *)
-  | Diverged of string
-      (** replay script named a non-enabled process — only possible for
-          minimizer candidates, never for a recorded schedule *)
-
-val outcome_failed : outcome -> bool
-(** [Flagged] or [Stuck_run]. *)
-
-val render_outcome : outcome -> string
-(** Human rendering of an outcome (violation lists included) — shared
-    by the campaign counterexample reports. *)
+val render_outcome : Fault_campaign.outcome -> string
+(** {!Fault_campaign.render_outcome}. *)
 
 (** A self-contained, replayable case: everything needed to re-execute
-    one run, including the exact schedule. *)
+    one run, given its schedule. *)
 type case = {
   impl : Campaign.impl;
   prof : profile;
@@ -103,91 +94,14 @@ type case = {
   fault_seed : int;  (** seed of the {!Faults.wrap} PRNG *)
 }
 
-val replay : case -> script:int array -> outcome
-(** Re-execute a case under [Schedule.Scripted (script, Round_robin)].
-    Fully deterministic: same case + same script = same outcome.
+type tally = { faults_fired : int  (** memory faults that triggered *) }
 
-    Judging: the history of completed operations is checked against all
-    five Shrinking conditions; for profiles with crashes, the victim's
-    dangling Write is first completed ({!Resilience.complete_dangling})
-    and residual [Integrity] violations — artifacts of writes left
-    half-published by a crash — are excused, as in the resilience
-    sweep.  Everything else counts. *)
-
-val ddmin : budget:int -> test:('a list -> bool) -> 'a list -> 'a list * int
-(** Greedy delta debugging on a list: repeatedly try to delete chunks,
-    halving the chunk size whenever a whole sweep makes no progress.
-    [test] must return [true] iff the candidate still fails; at most
-    [budget] tests are run (further candidates are assumed passing).
-    Returns the shrunk list and the number of tests spent.  The engine
-    behind {!minimize}, exported for other fault domains (the
-    message-passing backend minimizes network schedules with it). *)
-
-type counterexample = {
-  cx_case : case;  (** with the {e minimized} profile *)
-  cx_script : int array;  (** minimized schedule *)
-  cx_violations : string;  (** rendered violations of the minimized run *)
-  cx_original_entries : int;  (** schedule entries before minimization *)
-  cx_original_elements : int;  (** chaos elements before minimization *)
-  cx_replays : int;  (** candidate replays the minimizer spent *)
-}
-
-val minimize : budget:int -> case -> script:int array -> counterexample
-(** Delta-debug a failing (case, script) pair: first shrink the chaos
-    element list (injections @ crashes @ stalls), then the schedule,
-    preserving "replays to [Flagged] (resp. [Stuck_run])".  The input
-    must itself fail under {!replay}. *)
-
-val cx_to_string : counterexample -> string
-(** One-line replayable script:
-    [impl=... c=... r=... writes=... scans=... fault-seed=... faults=...
-    crashes=... stalls=... script=...]. *)
-
-val cx_of_string : string -> (counterexample, string) result
-(** Parse {!cx_to_string} output ([cx_violations] etc. are recomputed on
-    replay and left empty). *)
-
-val pp_counterexample : Format.formatter -> counterexample -> unit
-
-(** {2 Reports} *)
-
-type cell = {
-  cell_impl : Campaign.impl;
-  cell_profile : profile;
-  runs : int;
-  flagged : int;
-  stuck : int;
-  faults_fired : int;  (** memory faults that actually triggered *)
-  counterexample : counterexample option;
-      (** first failing run of this cell, minimized *)
-}
-
-type report = {
-  cells : cell list;
-  total_runs : int;
-  total_flagged : int;
-  total_stuck : int;
-}
-
-val run :
-  ?jobs:int -> ?pool:Exec.Pool.recorder -> ?metrics:Obs.Metrics.t ->
-  config -> report
-(** Run the full sweep.
-
-    [jobs] (default 1) shards the flattened {impl × profile × seed}
-    task list over that many domains via {!Exec.Pool}; per-run results
-    are keyed by task index and folded back per cell in seed order, and
-    minimization runs sequentially at the merge on the first failing
-    seed of each cell — so the report (counterexamples included) is
-    identical for every job count.  [pool] records per-run worker spans
-    for the Chrome trace exporter.
-
-    When [metrics] is given, totals are also accumulated into counters
-    [chaos.runs], [chaos.flagged], [chaos.stuck], [chaos.faults_fired],
-    [chaos.minimize_replays], and per-run schedule lengths into
-    histogram [chaos.schedule_entries] (all additive across calls).
-    Workers observe into private registries that are
-    {!Obs.Metrics.merge}d at the join, so the metrics too are
-    independent of [jobs]. *)
-
-val pp_report : Format.formatter -> report -> unit
+include
+  Fault_campaign.S
+    with type profile := profile
+     and type config := config
+     and type case := case
+     and type tally := tally
+(** With [metrics], {!run} books counters [chaos.runs], [chaos.flagged],
+    [chaos.stuck], [chaos.faults_fired], [chaos.minimize_replays] and
+    histogram [chaos.schedule_entries]. *)

@@ -1,9 +1,8 @@
 (* Chaos campaigns for the message-passing backend: the injectable
    faults are message loss, message reordering (the Random network
-   schedule), replica crash-stops, and — as a negative control — a
-   deliberately broken quorum size that voids the ABD intersection
-   argument.  Mirrors [Chaos] (shared-memory faults) in shape:
-   record → judge → ddmin-minimize → replayable one-line script. *)
+   schedule), replica crash-stops and Byzantine replicas, and — as a
+   negative control — a deliberately broken quorum size that voids the
+   ABD intersection argument.  A substrate of [Fault_campaign]. *)
 
 type profile = {
   label : string;
@@ -72,8 +71,15 @@ type case = {
   seed : int;  (* drives the loss PRNG and the recorded Random policy *)
 }
 
+type tally = {
+  msgs_sent : int;
+  msgs_lost : int;
+  byz_lies : int;
+  byz_per_replica : (int * int) list;
+}
+
 type run_result = {
-  outcome : Chaos.outcome;
+  outcome : Fault_campaign.outcome;
   schedule : int array;  (* network-scheduler picks (record mode only) *)
   net : Net.Sim.stats;
   byz_lies : int;  (* individual replica misbehaviors, summed *)
@@ -81,21 +87,18 @@ type run_result = {
       (* (replica, misbehaviors), in assignment order *)
 }
 
-type mode = Record of Csim.Schedule.t | Replay of int array
+let network ?(log = false) (case : case) =
+  Net.Sim.create ~log ~loss:case.prof.loss ~crashes:case.prof.crashes
+    ~byzantine:case.prof.byz ~replicas:case.replicas ~seed:case.seed ()
 
-let run_case ?(log = false) ?metrics ?causal ~max_steps (case : case) mode =
-  let env =
-    Net.Sim.create ~log ~loss:case.prof.loss ~crashes:case.prof.crashes
-      ~byzantine:case.prof.byz ~replicas:case.replicas ~seed:case.seed ()
-  in
+let run_case ?log ?metrics ?causal ~max_steps (case : case) mode =
+  let env = network ?log case in
   let quorum =
     match case.prof.quorum with
     | None -> Net.Abd.Majority
     | Some k -> Net.Abd.Fixed k
   in
   let abd = Net.Abd.create ~quorum ?causal env in
-  let mem = Net.Abd.memory abd in
-  let init = Array.init case.components (fun k -> (k + 1) * 10) in
   (* With a causal collector, composite-level Scan/Update markers (and
      Anderson's per-level markers) become note spans on the issuing
      client's track — the parents the ABD op spans attach to. *)
@@ -105,506 +108,251 @@ let run_case ?(log = false) ?metrics ?causal ~max_steps (case : case) mode =
         Obs.Causal.note c ~track:(Net.Sim.self ()) ~at:(Net.Sim.now env) text)
       causal
   in
-  let handle =
-    Campaign.make_handle ?note case.impl mem ~readers:case.readers ~init
-  in
-  let rec_ =
-    Composite.Snapshot.record ?note
+  let rec_, procs =
+    Campaign.workload ?note
       ~clock:(fun () -> Net.Sim.now env)
-      ~initial:init handle
+      case.impl (Net.Abd.memory abd) ~components:case.components
+      ~readers:case.readers ~writes:case.writes_per_writer
+      ~scans:case.scans_per_reader
   in
-  let writer k () =
-    for s = 1 to case.writes_per_writer do
-      rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-    done
+  let tally () =
+    let net = Net.Sim.totals env and byz = Net.Sim.byz_stats env in
+    let lies = List.map (fun (r, _, st) -> (r, Net.Sim.byz_misbehaviors st)) byz in
+    {
+      msgs_sent = net.Net.Sim.sent;
+      msgs_lost = net.Net.Sim.lost;
+      byz_lies = List.fold_left (fun a (_, n) -> a + n) 0 lies;
+      byz_per_replica = lies;
+    }
   in
-  let reader j () =
-    for _ = 1 to case.scans_per_reader do
-      ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-    done
-  in
-  let procs =
-    Array.init
-      (case.components + case.readers)
-      (fun i ->
-        if i < case.components then writer i else reader (i - case.components))
-  in
-  let picks = ref [] in
-  let policy =
-    match mode with
-    | Record inner ->
-      let d = Csim.Schedule.driver inner in
-      Csim.Schedule.Choose
-        (fun ~enabled ~step ->
-          let p = Csim.Schedule.pick d ~enabled ~step in
-          picks := p :: !picks;
-          p)
-    | Replay script -> Csim.Schedule.Scripted (script, Csim.Schedule.Round_robin)
-  in
-  let finish outcome =
-    ( {
-        outcome;
-        schedule = Array.of_list (List.rev !picks);
-        net = Net.Sim.totals env;
-        byz_lies =
-          List.fold_left
-            (fun a (_, _, st) -> a + Net.Sim.byz_misbehaviors st)
-            0 (Net.Sim.byz_stats env);
-        byz_per_replica =
-          List.map
-            (fun (r, _, st) -> (r, Net.Sim.byz_misbehaviors st))
-            (Net.Sim.byz_stats env);
-      },
-      env )
-  in
-  match Net.Sim.run env ~policy ~max_steps procs with
-  | exception Net.Sim.Stuck msg -> finish (Chaos.Stuck_run msg)
-  | exception Csim.Schedule.Bad_script msg -> finish (Chaos.Diverged msg)
-  | (_ : Net.Sim.stats) ->
-    (* Replica crashes are the ABD emulation's problem, not the
-       clients': unlike shared-memory process crashes there are no
-       dangling operations to complete — every client op terminates,
-       and the full history must check out with no excuses. *)
-    let h = Composite.Snapshot.history rec_ in
-    Option.iter
-      (fun m -> Campaign.observe_op_latencies m ~prefix:"netchaos" h)
-      metrics;
-    let violations = History.Shrinking.check ~equal:Int.equal h in
-    finish
-      (if violations = [] then Chaos.Passed else Chaos.Flagged violations)
+  ( Fault_campaign.drive mode ~tally
+      ~run:(fun policy -> ignore (Net.Sim.run env ~policy ~max_steps procs))
+      ~judge:(fun () ->
+        (* Replica crashes are the ABD emulation's problem, not the
+           clients': unlike shared-memory process crashes there are no
+           dangling operations to complete — every client op
+           terminates, and the full history must check out with no
+           excuses. *)
+        let h = Composite.Snapshot.history rec_ in
+        Option.iter
+          (fun m -> Campaign.observe_op_latencies m ~prefix:"netchaos" h)
+          metrics;
+        Fault_campaign.verdict (History.Shrinking.check ~equal:Int.equal h)),
+    env )
 
-let exec ?metrics ~max_steps case mode =
-  fst (run_case ?metrics ~max_steps case mode)
-
-let run_once ?log ?metrics ?causal case =
-  fst
-    (run_case ?log ?metrics ?causal ~max_steps:default.max_steps case
-       (Record (Csim.Schedule.Random case.seed)))
-
-let replay case ~script =
-  (exec ~max_steps:default.max_steps case (Replay script)).outcome
-
-let export_timeline ?pp (case : case) ~path =
-  let result, env =
-    run_case ~log:true ~max_steps:default.max_steps case
-      (Record (Csim.Schedule.Random case.seed))
+(* One recorded [Random case.seed] run, outside any campaign. *)
+let recorded ?log ?causal ?metrics case =
+  let r, env =
+    run_case ?log ?causal ?metrics ~max_steps:default.max_steps case
+      (Fault_campaign.Record (Csim.Schedule.Random case.seed))
   in
+  ( {
+      outcome = r.outcome;
+      schedule = r.schedule;
+      net = Net.Sim.totals env;
+      byz_lies = r.tally.byz_lies;
+      byz_per_replica = r.tally.byz_per_replica;
+    },
+    env )
+
+let run_once ?log ?metrics ?causal case = fst (recorded ?log ?metrics ?causal case)
+
+let export_timeline ?pp case ~path =
+  let result, env = recorded ~log:true case in
   Net.Timeline.export ~path ?pp env;
   result
 
-let export_causal ?pp (case : case) ~path =
+let export_causal ?pp case ~path =
   let causal = Obs.Causal.create () in
-  let result, env =
-    run_case ~log:true ~causal ~max_steps:default.max_steps case
-      (Record (Csim.Schedule.Random case.seed))
-  in
+  let result, env = recorded ~log:true ~causal case in
   Net.Timeline.export ~path ?pp ~causal env;
   (result, causal)
-
-(* ------------------------------------------------------------------ *)
-(* Counterexample minimization                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The droppable network-fault elements.  The quorum override is part
-   of the case (the variant under test), not an element: dropping it
-   would change which algorithm is being accused. *)
-type element =
-  | E_loss of float
-  | E_crash of int * int
-  | E_byz of int * Net.Sim.byz_flavor
-
-let elements_of_profile p =
-  (if p.loss > 0.0 then [ E_loss p.loss ] else [])
-  @ List.map (fun (r, k) -> E_crash (r, k)) p.crashes
-  @ List.map (fun (r, fl) -> E_byz (r, fl)) p.byz
-
-let profile_of_elements ~label ~quorum els =
-  {
-    label;
-    quorum;
-    loss =
-      List.fold_left
-        (fun acc -> function E_loss l -> l | _ -> acc)
-        0.0 els;
-    crashes =
-      List.filter_map (function E_crash (r, k) -> Some (r, k) | _ -> None) els;
-    byz =
-      List.filter_map (function E_byz (r, fl) -> Some (r, fl) | _ -> None) els;
-  }
-
-type counterexample = {
-  cx_case : case;
-  cx_script : int array;
-  cx_violations : string;
-  cx_original_entries : int;
-  cx_original_elements : int;
-  cx_replays : int;
-}
-
-let render_outcome = function
-  | Chaos.Passed -> "passed"
-  | Chaos.Stuck_run msg -> "stuck: " ^ msg
-  | Chaos.Diverged msg -> "diverged: " ^ msg
-  | Chaos.Flagged vs ->
-    Format.asprintf "%a"
-      (Format.pp_print_list ~pp_sep:Format.pp_print_newline
-         History.Shrinking.pp_violation)
-      vs
-
-let minimize ~budget case ~script =
-  let same_kind reference o =
-    match (reference, o) with
-    | Chaos.Flagged _, Chaos.Flagged _ -> true
-    | Chaos.Stuck_run _, Chaos.Stuck_run _ -> true
-    | _ -> false
-  in
-  let reference = replay case ~script in
-  if not (Chaos.outcome_failed reference) then
-    invalid_arg "Netchaos.minimize: the given case does not fail under replay";
-  let original_elements = elements_of_profile case.prof in
-  (* Pass 1: shrink the fault elements (loss, crashes), replaying the
-     full message schedule. *)
-  let elements, spent1 =
-    Chaos.ddmin ~budget
-      ~test:(fun els ->
-        let prof =
-          profile_of_elements ~label:case.prof.label ~quorum:case.prof.quorum
-            els
-        in
-        same_kind reference (replay { case with prof } ~script))
-      original_elements
-  in
-  let case =
-    {
-      case with
-      prof =
-        profile_of_elements ~label:case.prof.label ~quorum:case.prof.quorum
-          elements;
-    }
-  in
-  (* Pass 2: shrink the message schedule itself.  A dropped entry hands
-     the remaining deliveries to the round-robin fallback; entries the
-     shorter action list can no longer satisfy make the candidate
-     Diverge, which the test rejects. *)
-  let entries, spent2 =
-    Chaos.ddmin
-      ~budget:(max 0 (budget - spent1))
-      ~test:(fun entries ->
-        same_kind reference (replay case ~script:(Array.of_list entries)))
-      (Array.to_list script)
-  in
-  let cx_script = Array.of_list entries in
-  {
-    cx_case = case;
-    cx_script;
-    cx_violations = render_outcome (replay case ~script:cx_script);
-    cx_original_entries = Array.length script;
-    cx_original_elements = List.length original_elements;
-    cx_replays = spent1 + spent2;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Replayable one-line scripts                                          *)
-(* ------------------------------------------------------------------ *)
-
-let concat_map sep f xs = String.concat sep (List.map f xs)
-
-let render_byz byz =
-  concat_map ","
-    (fun (r, fl) ->
-      Printf.sprintf "%d:%s" r (Net.Sim.byz_flavor_to_string fl))
-    byz
-
-let cx_to_string cx =
-  let c = cx.cx_case in
-  Printf.sprintf
-    "impl=%s n=%d quorum=%s c=%d r=%d writes=%d scans=%d seed=%d label=%s \
-     loss=%g crashes=%s byz=%s script=%s"
-    (Campaign.impl_name c.impl) c.replicas
-    (match c.prof.quorum with
-    | None -> "majority"
-    | Some k -> string_of_int k)
-    c.components c.readers c.writes_per_writer c.scans_per_reader c.seed
-    c.prof.label c.prof.loss
-    (concat_map "," (fun (r, k) -> Printf.sprintf "%d:%d" r k) c.prof.crashes)
-    (render_byz c.prof.byz)
-    (concat_map "," string_of_int (Array.to_list cx.cx_script))
-
-let cx_of_string s =
-  let ( let* ) = Result.bind in
-  let fields =
-    List.filter_map
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | None -> None
-        | Some i ->
-          Some
-            ( String.sub tok 0 i,
-              String.sub tok (i + 1) (String.length tok - i - 1) ))
-      (String.split_on_char ' ' (String.trim s))
-  in
-  let field name = List.assoc_opt name fields in
-  let req name =
-    match field name with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "net replay script: missing %s=" name)
-  in
-  let int_field name =
-    let* v = req name in
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None ->
-      Error (Printf.sprintf "net replay script: %s=%S is not an integer" name v)
-  in
-  let list_field name parse =
-    match field name with
-    | None | Some "" -> Ok []
-    | Some v ->
-      List.fold_right
-        (fun tok acc ->
-          let* acc = acc in
-          let* x = parse tok in
-          Ok (x :: acc))
-        (String.split_on_char ',' v) (Ok [])
-  in
-  let* impl_s = req "impl" in
-  let* impl =
-    match Campaign.impl_of_name impl_s with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "net replay script: unknown impl %S" impl_s)
-  in
-  let* replicas = int_field "n" in
-  let* quorum =
-    let* v = req "quorum" in
-    if v = "majority" then Ok None
-    else
-      match int_of_string_opt v with
-      | Some k -> Ok (Some k)
-      | None -> Error (Printf.sprintf "net replay script: bad quorum %S" v)
-  in
-  let* components = int_field "c" in
-  let* readers = int_field "r" in
-  let* writes_per_writer = int_field "writes" in
-  let* scans_per_reader = int_field "scans" in
-  let* seed = int_field "seed" in
-  let label = Option.value (field "label") ~default:"replay" in
-  let* loss =
-    match field "loss" with
-    | None -> Ok 0.0
-    | Some v -> (
-      match float_of_string_opt v with
-      | Some l -> Ok l
-      | None -> Error (Printf.sprintf "net replay script: bad loss %S" v))
-  in
-  let* crashes =
-    list_field "crashes" (fun tok ->
-        match String.split_on_char ':' tok with
-        | [ r; k ] -> (
-          match (int_of_string_opt r, int_of_string_opt k) with
-          | Some r, Some k -> Ok (r, k)
-          | _ ->
-            Error (Printf.sprintf "net replay script: bad crash entry %S" tok))
-        | _ -> Error (Printf.sprintf "net replay script: bad crash entry %S" tok))
-  in
-  let* byz =
-    (* Absent in scripts recorded before Byzantine replicas existed —
-       an empty assignment keeps those replaying verbatim. *)
-    list_field "byz" (fun tok ->
-        match String.split_on_char ':' tok with
-        | [ r; fl ] -> (
-          match (int_of_string_opt r, Net.Sim.byz_flavor_of_string fl) with
-          | Some r, Some fl -> Ok (r, fl)
-          | _ ->
-            Error (Printf.sprintf "net replay script: bad byz entry %S" tok))
-        | _ -> Error (Printf.sprintf "net replay script: bad byz entry %S" tok))
-  in
-  let* script =
-    list_field "script" (fun tok ->
-        match int_of_string_opt tok with
-        | Some n -> Ok n
-        | None ->
-          Error (Printf.sprintf "net replay script: bad script entry %S" tok))
-  in
-  Ok
-    {
-      cx_case =
-        {
-          impl;
-          prof = { label; loss; crashes; byz; quorum };
-          replicas;
-          components;
-          readers;
-          writes_per_writer;
-          scans_per_reader;
-          seed;
-        };
-      cx_script = Array.of_list script;
-      cx_violations = "";
-      cx_original_entries = List.length script;
-      cx_original_elements =
-        (if loss > 0.0 then 1 else 0) + List.length crashes + List.length byz;
-      cx_replays = 0;
-    }
-
-let pp_counterexample fmt cx =
-  let c = cx.cx_case in
-  Format.fprintf fmt
-    "@[<v>minimized counterexample: impl=%s profile=%s n=%d quorum=%s@,\
-     fault elements: %d (from %d)  message-schedule entries: %d (from %d)  \
-     minimizer replays: %d@,\
-     loss=%g crashes=[%s] byz=[%s] seed=%d@,\
-     violations of the minimized run:@,%s@,\
-     replay with:@,  net --replay '%s'@]"
-    (Campaign.impl_name c.impl) c.prof.label c.replicas
-    (match c.prof.quorum with
-    | None -> "majority"
-    | Some k -> string_of_int k)
-    (List.length (elements_of_profile c.prof))
-    cx.cx_original_elements (Array.length cx.cx_script)
-    cx.cx_original_entries cx.cx_replays c.prof.loss
-    (concat_map "," (fun (r, k) -> Printf.sprintf "%d:%d" r k) c.prof.crashes)
-    (render_byz c.prof.byz) c.seed cx.cx_violations (cx_to_string cx)
 
 (* ------------------------------------------------------------------ *)
 (* The campaign                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type cell = {
-  cell_impl : Campaign.impl;
-  cell_profile : profile;
-  runs : int;
-  flagged : int;
-  stuck : int;
-  msgs_sent : int;
-  msgs_lost : int;
-  counterexample : counterexample option;
-}
+let pp_crash (r, k) = Printf.sprintf "%d:%d" r k
+let pp_quorum = function None -> "majority" | Some k -> string_of_int k
+let join = Fault_campaign.Script.join
 
-type report = {
-  cells : cell list;
-  total_runs : int;
-  total_flagged : int;
-  total_stuck : int;
-}
+include Fault_campaign.Make (struct
+  type nonrec profile = profile
+  type nonrec config = config
+  type nonrec case = case
+  type nonrec tally = tally
 
-let case_of (cfg : config) impl prof i =
-  {
-    impl;
-    prof;
-    replicas = cfg.replicas;
-    components = cfg.components;
-    readers = cfg.readers;
-    writes_per_writer = cfg.writes_per_writer;
-    scans_per_reader = cfg.scans_per_reader;
-    seed = cfg.base_seed + i;
-  }
-
-let run ?(jobs = 1) ?pool ?metrics cfg =
-  let cells_spec =
-    List.concat_map
-      (fun impl -> List.map (fun prof -> (impl, prof)) cfg.profiles)
-      cfg.impls
-    |> Array.of_list
-  in
-  let ncells = Array.length cells_spec in
-  let results, workers =
-    Exec.Pool.map_workers ~jobs ?recorder:pool
-      ~label:(fun t ->
-        let impl, prof = cells_spec.(t / cfg.seeds) in
-        Printf.sprintf "net %s/%s seed=%d" (Campaign.impl_name impl) prof.label
-          (cfg.base_seed + (t mod cfg.seeds)))
-      ~worker:Obs.Metrics.create
-      (ncells * cfg.seeds)
-      (fun m t ->
-        let impl, prof = cells_spec.(t / cfg.seeds) in
-        let i = t mod cfg.seeds in
-        let case = case_of cfg impl prof i in
-        (* Random delivery order is the reordering adversary. *)
-        let r =
-          exec ~metrics:m ~max_steps:cfg.max_steps case
-            (Record (Csim.Schedule.Random case.seed))
-        in
-        Obs.Metrics.observe
-          (Obs.Metrics.histogram m "netchaos.schedule_entries")
-          (Array.length r.schedule);
-        r)
-  in
-  (* Sequential merge in cell-and-seed order, minimizing the first
-     failing seed of each cell — deterministic at every job count. *)
-  let cells =
-    List.init ncells (fun ci ->
-        let impl, prof = cells_spec.(ci) in
-        let flagged = ref 0 in
-        let stuck = ref 0 in
-        let sent = ref 0 in
-        let lost = ref 0 in
-        let cx = ref None in
-        for i = 0 to cfg.seeds - 1 do
-          let r = results.((ci * cfg.seeds) + i) in
-          sent := !sent + r.net.Net.Sim.sent;
-          lost := !lost + r.net.Net.Sim.lost;
-          (match r.outcome with
-          | Chaos.Passed | Chaos.Diverged _ -> ()
-          | Chaos.Stuck_run _ -> incr stuck
-          | Chaos.Flagged _ -> incr flagged);
-          if
-            !cx = None && cfg.minimize_budget > 0
-            && Chaos.outcome_failed r.outcome
-          then
-            cx :=
-              Some
-                (minimize ~budget:cfg.minimize_budget
-                   (case_of cfg impl prof i)
-                   ~script:r.schedule)
-        done;
-        {
-          cell_impl = impl;
-          cell_profile = prof;
-          runs = cfg.seeds;
-          flagged = !flagged;
-          stuck = !stuck;
-          msgs_sent = !sent;
-          msgs_lost = !lost;
-          counterexample = !cx;
-        })
-  in
-  let report =
+  let names =
     {
-      cells;
-      total_runs = List.fold_left (fun a c -> a + c.runs) 0 cells;
-      total_flagged = List.fold_left (fun a c -> a + c.flagged) 0 cells;
-      total_stuck = List.fold_left (fun a c -> a + c.stuck) 0 cells;
+      Fault_campaign.command = "net";
+      task = "net ";
+      metrics = "netchaos";
+      script = "net replay script";
+      elements = "fault";
+      schedule = "message-schedule";
     }
-  in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    List.iter (fun w -> Obs.Metrics.merge ~into:m w) workers;
-    let c name by = Obs.Metrics.incr ~by (Obs.Metrics.counter m name) in
-    c "netchaos.runs" report.total_runs;
-    c "netchaos.flagged" report.total_flagged;
-    c "netchaos.stuck" report.total_stuck;
-    c "netchaos.msgs_sent" (List.fold_left (fun a cl -> a + cl.msgs_sent) 0 cells);
-    c "netchaos.msgs_lost" (List.fold_left (fun a cl -> a + cl.msgs_lost) 0 cells);
-    c "netchaos.byz_lies" (Array.fold_left (fun a r -> a + r.byz_lies) 0 results);
-    (* Exact per-replica misbehavior accounting. *)
-    Array.iter
-      (fun r ->
-        List.iter
-          (fun (rep, n) ->
-            c (Printf.sprintf "netchaos.byz.replica%d" rep) n)
-          r.byz_per_replica)
-      results);
-  report
 
-let pp_report fmt r =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun c ->
-      Format.fprintf fmt
-        "%-18s %-16s runs=%-4d flagged=%-4d stuck=%-4d msgs=%d lost=%d@,"
-        (Campaign.impl_name c.cell_impl)
-        c.cell_profile.label c.runs c.flagged c.stuck c.msgs_sent c.msgs_lost)
-    r.cells;
-  Format.fprintf fmt "total: runs=%d flagged=%d stuck=%d@]" r.total_runs
-    r.total_flagged r.total_stuck
+  let default = default
+  let label p = p.label
+
+  let sweep (c : config) =
+    {
+      Fault_campaign.impls = c.impls;
+      profiles = c.profiles;
+      seeds = c.seeds;
+      base_seed = c.base_seed;
+      max_steps = c.max_steps;
+      minimize_budget = c.minimize_budget;
+    }
+
+  let case_of (c : config) impl prof ~seed =
+    {
+      impl;
+      prof;
+      replicas = c.replicas;
+      components = c.components;
+      readers = c.readers;
+      writes_per_writer = c.writes_per_writer;
+      scans_per_reader = c.scans_per_reader;
+      seed;
+    }
+
+  (* Random delivery order is the reordering adversary. *)
+  let schedule_for = Fault_campaign.random
+
+  let exec ?metrics ~max_steps case mode =
+    fst (run_case ?metrics ~max_steps case mode)
+
+  let zero = { msgs_sent = 0; msgs_lost = 0; byz_lies = 0; byz_per_replica = [] }
+
+  let add a b =
+    {
+      msgs_sent = a.msgs_sent + b.msgs_sent;
+      msgs_lost = a.msgs_lost + b.msgs_lost;
+      byz_lies = a.byz_lies + b.byz_lies;
+      byz_per_replica =
+        List.fold_left
+          (fun acc (r, n) ->
+            let m = Option.value (List.assoc_opt r acc) ~default:0 in
+            (r, m + n) :: List.remove_assoc r acc)
+          a.byz_per_replica b.byz_per_replica;
+    }
+
+  (* Exact per-replica misbehavior accounting. *)
+  let counters t ~replays:_ =
+    [
+      ("msgs_sent", t.msgs_sent);
+      ("msgs_lost", t.msgs_lost);
+      ("byz_lies", t.byz_lies);
+    ]
+    @ List.map
+        (fun (r, n) -> (Printf.sprintf "byz.replica%d" r, n))
+        t.byz_per_replica
+
+  (* The loss knob (if set), then crashes, then Byzantine replicas; the
+     quorum override is part of the case, the variant under test. *)
+  let elements c =
+    Bool.to_int (c.prof.loss > 0.0)
+    + List.length c.prof.crashes + List.length c.prof.byz
+
+  let keep c kept =
+    let pick first l = List.filteri (fun i _ -> List.mem (first + i) kept) l in
+    let nl = Bool.to_int (c.prof.loss > 0.0) in
+    let prof =
+      {
+        c.prof with
+        loss = (if nl = 1 && List.mem 0 kept then c.prof.loss else 0.0);
+        crashes = pick nl c.prof.crashes;
+        byz = pick (nl + List.length c.prof.crashes) c.prof.byz;
+      }
+    in
+    { c with prof }
+
+  let to_script c =
+    [
+      ("impl", Campaign.impl_name c.impl);
+      ("n", string_of_int c.replicas);
+      ("quorum", pp_quorum c.prof.quorum);
+      ("c", string_of_int c.components);
+      ("r", string_of_int c.readers);
+      ("writes", string_of_int c.writes_per_writer);
+      ("scans", string_of_int c.scans_per_reader);
+      ("seed", string_of_int c.seed);
+      ("label", c.prof.label);
+      ("loss", Printf.sprintf "%g" c.prof.loss);
+      ("crashes", join pp_crash c.prof.crashes);
+      ("byz", join Net.Sim.byz_replica_to_string c.prof.byz);
+    ]
+
+  let of_script t =
+    let open Fault_campaign.Script in
+    let ( let* ) = Result.bind in
+    let* impl = impl t in
+    let* replicas = int ~min:1 t "n" in
+    let* quorum =
+      let* v = req t "quorum" in
+      match (v, int_of_string_opt v) with
+      | "majority", _ -> Ok None
+      | _, Some k when k >= 1 && k <= replicas -> Ok (Some k)
+      | _ -> error t "bad quorum %S" v
+    in
+    let* components = int ~min:1 t "c" in
+    let* readers = int ~min:1 t "r" in
+    let* writes_per_writer = int t "writes" in
+    let* scans_per_reader = int t "scans" in
+    let* seed = int t "seed" in
+    let label = Option.value (find t "label") ~default:"replay" in
+    let* loss =
+      match find t "loss" with
+      | None -> Ok 0.0
+      | Some v -> (
+        match float_of_string_opt v with
+        | Some l -> Ok l
+        | None -> error t "bad loss %S" v)
+    in
+    let* crashes =
+      list t "crashes" (fun s ->
+          match ints 2 s with Some [ r; k ] -> Some (r, k) | _ -> None)
+    in
+    (* Absent in scripts recorded before Byzantine replicas existed —
+       an empty assignment keeps those replaying verbatim. *)
+    let* byz =
+      list t "byz" (fun s -> Result.to_option (Net.Sim.byz_replica_of_string s))
+    in
+    Ok
+      {
+        impl;
+        prof = { label; loss; crashes; byz; quorum };
+        replicas;
+        components;
+        readers;
+        writes_per_writer;
+        scans_per_reader;
+        seed;
+      }
+
+  (* The network's own checks: loss in [0, 1), crashes and Byzantine
+     replicas naming distinct existing replicas, a live majority. *)
+  let validate c = ignore (network c : Net.Sim.env)
+
+  let headline c =
+    [
+      Printf.sprintf "impl=%s profile=%s n=%d quorum=%s"
+        (Campaign.impl_name c.impl) c.prof.label c.replicas
+        (pp_quorum c.prof.quorum);
+    ]
+
+  let details c =
+    Printf.sprintf "loss=%g crashes=[%s] byz=[%s] seed=%d" c.prof.loss
+      (join pp_crash c.prof.crashes)
+      (join Net.Sim.byz_replica_to_string c.prof.byz)
+      c.seed
+
+  let pp_row fmt impl p ~runs ~flagged ~stuck t =
+    Format.fprintf fmt
+      "%-18s %-16s runs=%-4d flagged=%-4d stuck=%-4d msgs=%d lost=%d"
+      (Campaign.impl_name impl) p.label runs flagged stuck t.msgs_sent
+      t.msgs_lost
+
+  let total_note _ = ""
+end)

@@ -1,15 +1,15 @@
 (** Chaos campaigns for the message-passing backend.
 
-    The network analogue of {!Chaos}: run composite registers over the
-    ABD emulation while injecting {e network} faults — message loss,
-    adversarial message reordering (a recorded [Random] delivery
-    schedule), replica crash-stops — plus one deliberately wrong
-    protocol variant (a non-majority quorum) as a negative control.
-    In-model faults (loss, reorder, minority crashes) must leave every
-    history clean: that is exactly the fault envelope the ABD emulation
-    claims to mask.  The broken quorum voids the intersection argument,
-    and the campaign must catch it, minimize the failure with
-    {!Chaos.ddmin} — over both the fault list and the {e message
+    The network substrate of {!Fault_campaign}: run composite registers
+    over the ABD emulation while injecting {e network} faults — message
+    loss, adversarial message reordering (a recorded [Random] delivery
+    schedule), replica crash-stops, Byzantine replicas — plus one
+    deliberately wrong protocol variant (a non-majority quorum) as a
+    negative control.  In-model faults (loss, reorder, minority
+    crashes) must leave every history clean: that is exactly the fault
+    envelope the ABD emulation claims to mask.  The broken quorum voids
+    the intersection argument, and the campaign must catch it, minimize
+    the failure — over both the fault elements and the {e message
     delivery schedule} — and print a one-line deterministic replay.
 
     Unlike shared-memory process crashes, replica crashes leave no
@@ -76,7 +76,7 @@ type case = {
 }
 
 type run_result = {
-  outcome : Chaos.outcome;
+  outcome : Fault_campaign.outcome;
   schedule : int array;
       (** network-scheduler picks, in order (record mode only) *)
   net : Net.Sim.stats;
@@ -86,11 +86,6 @@ type run_result = {
       (** [(replica, misbehaviors)] in assignment order — the exact
           per-replica account ({!Net.Sim.byz_stats}) *)
 }
-
-val replay : case -> script:int array -> Chaos.outcome
-(** Re-execute a case under [Scripted (script, Round_robin)] over the
-    network's canonical action enumeration.  Deterministic: same case +
-    same script = same outcome. *)
 
 val run_once :
   ?log:bool ->
@@ -123,55 +118,27 @@ val export_causal :
     per-replica rpc on the client tracks, message flow arrows joining
     them — and returns the collector for span accounting. *)
 
-type counterexample = {
-  cx_case : case;  (** with the {e minimized} fault profile *)
-  cx_script : int array;  (** minimized message-delivery schedule *)
-  cx_violations : string;
-  cx_original_entries : int;
-  cx_original_elements : int;
-  cx_replays : int;
-}
-
-val minimize : budget:int -> case -> script:int array -> counterexample
-(** Delta-debug a failing (case, script) pair: first shrink the fault
-    elements (the loss knob, each crash), then the message schedule,
-    preserving failure kind.  The quorum override is part of the case
-    and is never dropped — it names the variant under accusation. *)
-
-val cx_to_string : counterexample -> string
-(** One-line replay script (for [net --replay]). *)
-
-val cx_of_string : string -> (counterexample, string) result
-
-val pp_counterexample : Format.formatter -> counterexample -> unit
-
-type cell = {
-  cell_impl : Campaign.impl;
-  cell_profile : profile;
-  runs : int;
-  flagged : int;
-  stuck : int;
+type tally = {
   msgs_sent : int;
   msgs_lost : int;
-  counterexample : counterexample option;  (** first failing run, minimized *)
+  byz_lies : int;
+  byz_per_replica : (int * int) list;  (** summed per replica *)
 }
 
-type report = {
-  cells : cell list;
-  total_runs : int;
-  total_flagged : int;
-  total_stuck : int;
-}
-
-val run :
-  ?jobs:int -> ?pool:Exec.Pool.recorder -> ?metrics:Obs.Metrics.t ->
-  config -> report
-(** The {impl × profile × seed} sweep, sharded over domains like
-    {!Chaos.run}; minimization happens in the sequential merge on the
-    first failing seed of each cell, so the report is bit-identical at
-    every job count.  With [metrics]: counters [netchaos.runs],
-    [netchaos.flagged], [netchaos.stuck], [netchaos.msgs_sent],
-    [netchaos.msgs_lost], [netchaos.byz_lies] and per-replica
-    [netchaos.byz.replicaR]; histogram [netchaos.schedule_entries]. *)
-
-val pp_report : Format.formatter -> report -> unit
+include
+  Fault_campaign.S
+    with type profile := profile
+     and type config := config
+     and type case := case
+     and type tally := tally
+(** The quorum override is part of the case and is never minimized
+    away — it names the variant under accusation; loss, each crash and
+    each Byzantine replica are the fault elements.  Scripts read
+    [impl=... n=... quorum=... c=... r=... writes=... scans=... seed=...
+    label=... loss=... crashes=... byz=... script=...] (for
+    [net --replay]).  With [metrics], {!run} books counters
+    [netchaos.runs], [netchaos.flagged], [netchaos.stuck],
+    [netchaos.msgs_sent], [netchaos.msgs_lost], [netchaos.byz_lies] and
+    per-replica [netchaos.byz.replicaR], histograms
+    [netchaos.schedule_entries] and [netchaos.scan.latency] /
+    [netchaos.update.latency]. *)

@@ -7,8 +7,8 @@
    mutant mode ([migrate = false]) the service publishes each new shard
    map with the previous epoch's boundary — acknowledged writes vanish
    at the epoch switch, and the campaign must flag it.  A flagged
-   schedule is delta-debugged ({!Chaos.ddmin}) down to a minimal
-   sequence of reshard steps that still fails. *)
+   schedule is delta-debugged ({!Fault_campaign.ddmin}) down to a
+   minimal sequence of reshard steps that still fails. *)
 
 type config = {
   outer : Serve.outer_impl;
@@ -241,7 +241,7 @@ let run ?(jobs = 1) ?pool ?metrics (cfg : config) =
       None
     else
       let shrunk, (_ : int) =
-        Chaos.ddmin ~budget:cfg.minimize_budget
+        Fault_campaign.ddmin ~budget:cfg.minimize_budget
           ~test:(fun s -> still_fails cfg s)
           cfg.schedule
       in

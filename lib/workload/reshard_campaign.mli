@@ -20,8 +20,9 @@
     reshard publishes each new shard map with the {e previous} epoch's
     boundary snapshot, so acknowledged writes vanish at the switch —
     campaigns over it must flag violations ({!result.flagged_runs} >
-    0).  A failing schedule is delta-debugged with {!Chaos.ddmin} down
-    to a minimal step sequence that still fails. *)
+    0).  A failing schedule is delta-debugged with
+    {!Fault_campaign.ddmin} down to a minimal step sequence that still
+    fails. *)
 
 type config = {
   outer : Serve.outer_impl;

@@ -62,19 +62,9 @@ let run ?(components = 2) ?(readers = 2) ?(writes_per_writer = 2)
           ~initial:init
           (Composite.Anderson.handle reg)
       in
-      let writer k () =
-        for s = 1 to writes_per_writer do
-          rec_.Composite.Snapshot.rupdate ~writer:k (((k + 1) * 1000) + s)
-        done
-      in
-      let reader j () =
-        for _ = 1 to scans_per_reader do
-          ignore (rec_.Composite.Snapshot.rscan ~reader:j)
-        done
-      in
       let procs =
-        Array.init nprocs (fun p ->
-            if p < components then writer p else reader (p - components))
+        Campaign.procs rec_ ~components ~readers ~writes:writes_per_writer
+          ~scans:scans_per_reader
       in
       let finished =
         match

@@ -342,7 +342,7 @@ let test_net_forging_replica_caught_and_accounted () =
           Workload.Netchaos.replay c.Workload.Netchaos.cx_case
             ~script:c.Workload.Netchaos.cx_script
         with
-        | Workload.Chaos.Flagged vs ->
+        | Workload.Fault_campaign.Flagged vs ->
           Format.asprintf "%a"
             (Format.pp_print_list History.Shrinking.pp_violation)
             vs
@@ -438,11 +438,9 @@ let test_boundary_from_both_sides () =
   check bool "beyond: the unprotected stack is caught" true
     ((by "unprotected").flagged > 0);
   check int "nothing hangs" 0 r.Workload.Byzchaos.total_stuck;
-  check bool "boundary holds" true r.Workload.Byzchaos.boundary_holds;
+  check bool "boundary holds" true (Workload.Byzchaos.boundary_holds r);
   check bool "every cell matched its side" true
-    (List.for_all
-       (fun (c : Workload.Byzchaos.cell) -> c.as_expected)
-       r.Workload.Byzchaos.cells)
+    (List.for_all Workload.Byzchaos.as_expected r.Workload.Byzchaos.cells)
 
 let test_cx_minimized_replayable () =
   let r = Workload.Byzchaos.run (small_cfg (pick [ "unprotected" ])) in
@@ -458,18 +456,20 @@ let test_cx_minimized_replayable () =
         Workload.Byzchaos.replay c.Workload.Byzchaos.cx_case
           ~script:c.Workload.Byzchaos.cx_script
       with
-      | Workload.Chaos.Flagged vs ->
+      | Workload.Fault_campaign.Flagged vs ->
         Format.asprintf "%a"
           (Format.pp_print_list History.Shrinking.pp_violation)
           vs
-      | Workload.Chaos.Passed -> Alcotest.fail "replay passed"
-      | Workload.Chaos.Stuck_run m -> Alcotest.fail ("replay stuck: " ^ m)
-      | Workload.Chaos.Diverged m -> Alcotest.fail ("replay diverged: " ^ m)
+      | Workload.Fault_campaign.Passed -> Alcotest.fail "replay passed"
+      | Workload.Fault_campaign.Stuck_run m -> Alcotest.fail ("replay stuck: " ^ m)
+      | Workload.Fault_campaign.Diverged m -> Alcotest.fail ("replay diverged: " ^ m)
     in
     let v1 = out cx and v2 = out cx in
     check bool "deterministic replay" true (String.equal v1 v2);
     check bool "the report names the fault stack" true
-      (String.length cx.Workload.Byzchaos.cx_stack > 0);
+      (String.length
+         (Workload.Byzchaos.stack_description cx.Workload.Byzchaos.cx_case)
+      > 0);
     let s = Workload.Byzchaos.cx_to_string cx in
     (match Workload.Byzchaos.cx_of_string s with
     | Error e -> Alcotest.fail e
@@ -477,7 +477,14 @@ let test_cx_minimized_replayable () =
       check bool "script round-trips" true
         (String.equal s (Workload.Byzchaos.cx_to_string cx'));
       check bool "parsed replay reproduces the same violations" true
-        (String.equal v1 (out cx')))
+        (String.equal v1 (out cx')));
+    Fault_goldens.check_rejects Workload.Byzchaos.cx_of_string
+      [
+        ( "impl=anderson prot=1 c=0 r=0 writes=2 scans=2 fault-seed=1 script=",
+          "byz replay script: c=0 is below 1" );
+        ( "impl=anderson prot=-1 c=2 r=2 writes=2 scans=2 fault-seed=1 script=",
+          "byz replay script: bad prot \"-1\"" );
+      ]
 
 let test_report_identical_across_jobs () =
   let cfg =
@@ -488,6 +495,62 @@ let test_report_identical_across_jobs () =
   let r4 = render (Workload.Byzchaos.run ~jobs:4 cfg) in
   check bool "reports bit-identical across job counts" true
     (String.equal r1 r4)
+
+(* ------------------------------------------------------------------ *)
+(* Golden campaign                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Fault_goldens.byz] — report, counterexamples, replay lines and
+   metrics — as rendered when each fault substrate still had its own
+   campaign module: the shared engine must reproduce every string byte
+   for byte. *)
+let pinned_byz_campaign =
+  {
+    Fault_goldens.report =
+      String.concat "\n"
+        [
+          "anderson           byz1-masked        prot=f=1   expect=survive runs=2   flagged=0   stuck=0   fired=8     claimed=2   ok";
+          "anderson           unprotected        prot=none  expect=break   runs=2   flagged=2   stuck=0   fired=40    claimed=2   ok";
+          "total: runs=4 flagged=2 stuck=0 boundary=holds";
+        ];
+    cx_lines =
+      [
+        "impl=anderson prot=none c=2 r=2 writes=2 scans=2 fault-seed=1 label=unprotected faults=byz:1:1 script=";
+      ];
+    cx_reports =
+      [
+        String.concat "\n"
+          [
+            "minimized counterexample: impl=anderson profile=unprotected";
+            "fault stack: byz:1:1 over sim";
+            "adversary elements: 1 (from 1)  schedule entries: 0 (from 40)  minimizer replays: 3";
+            "faults=[byz:1:1] fault-seed=1";
+            "violations of the minimized run:";
+            "Proximity: Read by p0 returned overwritten id 0 for component 0 (Write id 1 precedes the Read)";
+            "Proximity: Read by p1 returned overwritten id 0 for component 0 (Write id 1 precedes the Read)";
+            "replay with:";
+            "  byz --replay 'impl=anderson prot=none c=2 r=2 writes=2 scans=2 fault-seed=1 label=unprotected faults=byz:1:1 script='";
+          ];
+      ];
+    metrics =
+      String.concat "\n"
+        [
+          "{\"type\":\"counter\",\"name\":\"byz.cells_claimed\",\"value\":4}";
+          "{\"type\":\"counter\",\"name\":\"byz.faults_fired\",\"value\":48}";
+          "{\"type\":\"counter\",\"name\":\"byz.flagged\",\"value\":2}";
+          "{\"type\":\"counter\",\"name\":\"byz.minimize_replays\",\"value\":3}";
+          "{\"type\":\"counter\",\"name\":\"byz.runs\",\"value\":4}";
+          "{\"type\":\"histogram\",\"name\":\"byz.schedule_entries\",\"value\":{\"count\":4,\"min\":40,\"max\":750,\"mean\":388.0,\"p10\":40,\"p50\":40,\"p90\":736,\"p99\":736,\"p999\":736}}";
+          "{\"type\":\"counter\",\"name\":\"byz.stuck\",\"value\":0}";
+          "{\"type\":\"histogram\",\"name\":\"byzchaos.scan.latency\",\"value\":{\"count\":16,\"min\":7,\"max\":593,\"mean\":177.25,\"p10\":8,\"p50\":29,\"p90\":432,\"p99\":592,\"p999\":592}}";
+          "{\"type\":\"histogram\",\"name\":\"byzchaos.update.latency\",\"value\":{\"count\":16,\"min\":1,\"max\":298,\"mean\":72.5,\"p10\":1,\"p50\":19,\"p90\":264,\"p99\":296,\"p999\":296}}";
+          "";
+        ];
+  }
+
+let test_golden_campaign () =
+  Fault_goldens.check_same "byz" ~expected:pinned_byz_campaign
+    (Fault_goldens.byz ~jobs:1)
 
 (* ------------------------------------------------------------------ *)
 
@@ -537,5 +600,6 @@ let () =
             test_cx_minimized_replayable;
           Alcotest.test_case "report identical across jobs" `Quick
             test_report_identical_across_jobs;
+          Alcotest.test_case "golden campaign" `Quick test_golden_campaign;
         ] );
     ]

@@ -216,13 +216,13 @@ let flagged_cx ~impl ~profiles ~seeds =
   Option.get cell.Workload.Chaos.counterexample
 
 let violations_of = function
-  | Workload.Chaos.Flagged vs ->
+  | Workload.Fault_campaign.Flagged vs ->
     Format.asprintf "%a"
       (Format.pp_print_list History.Shrinking.pp_violation)
       vs
-  | Workload.Chaos.Passed -> Alcotest.fail "replay passed: not reproduced"
-  | Workload.Chaos.Stuck_run m -> Alcotest.fail ("replay stuck: " ^ m)
-  | Workload.Chaos.Diverged m -> Alcotest.fail ("replay diverged: " ^ m)
+  | Workload.Fault_campaign.Passed -> Alcotest.fail "replay passed: not reproduced"
+  | Workload.Fault_campaign.Stuck_run m -> Alcotest.fail ("replay stuck: " ^ m)
+  | Workload.Fault_campaign.Diverged m -> Alcotest.fail ("replay diverged: " ^ m)
 
 let assert_deterministic_replay (cx : Workload.Chaos.counterexample) =
   let v1 =
@@ -325,7 +325,63 @@ let test_cx_script_roundtrip () =
         (Workload.Chaos.replay cx.Workload.Chaos.cx_case
            ~script:cx.Workload.Chaos.cx_script)
     in
-    check bool "parsed replay matches" true (String.equal v v0)
+    check bool "parsed replay matches" true (String.equal v v0);
+    Fault_goldens.check_rejects Workload.Chaos.cx_of_string
+      [
+        ( "impl=anderson c=-1 r=2 writes=2 scans=2 fault-seed=1 script=",
+          "replay script: c=-1 is below 1" );
+        ( "impl=anderson c=2 r=2 writes=2 scans=2 fault-seed=1 crashes=99:1 \
+           script=",
+          "replay script: Sim.run: crash names process 99, but process ids \
+           range over 0..3" );
+        ( "impl=anderson c=2 r=2 writes=2 scans=2 fault-seed=3 label=none \
+           faults= craches=0:2 stalls= script=0,2",
+          "replay script: unknown key craches=" );
+        ( "impl=anderson c=2 r=2 writes=2 scans=2 fault-seed=1 c=3",
+          "replay script: duplicate c=" );
+        ( "impl=anderson c=2 r=2 writes=2 scans=2 fault-seed=1 0,2",
+          "replay script: \"0,2\" is not a key=value field" );
+      ]
+
+(* ------------------------------------------------------------------ *)
+(* ddmin                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A list of small naturals, a threshold at most its sum (so the list
+   itself "fails": its sum reaches the threshold) and a test budget. *)
+let gen_ddmin_input =
+  QCheck2.Gen.(
+    let* xs = list_size (int_range 0 30) (int_range 0 20) in
+    let* t = int_range 0 (List.fold_left ( + ) 0 xs) in
+    let* budget = int_range 0 60 in
+    return (xs, t, budget))
+
+let print_ddmin_input (xs, t, budget) =
+  Printf.sprintf "xs=[%s] threshold=%d budget=%d"
+    (String.concat ";" (List.map string_of_int xs))
+    t budget
+
+let reaches t ys = List.fold_left ( + ) 0 ys >= t
+
+let qcheck_ddmin_budget =
+  QCheck2.Test.make ~count:300 ~print:print_ddmin_input
+    ~name:"ddmin keeps failing within its budget; budget 0 is the identity"
+    gen_ddmin_input (fun (xs, t, budget) ->
+      let ys, spent = Workload.Fault_campaign.ddmin ~budget ~test:(reaches t) xs in
+      reaches t ys && spent <= budget
+      && Workload.Fault_campaign.ddmin ~budget:0 ~test:(reaches t) xs = (xs, 0))
+
+let qcheck_ddmin_one_minimal =
+  QCheck2.Test.make ~count:300 ~print:print_ddmin_input
+    ~name:"ddmin with ample budget is 1-minimal" gen_ddmin_input
+    (fun (xs, t, _) ->
+      let ys, _ =
+        Workload.Fault_campaign.ddmin ~budget:100_000 ~test:(reaches t) xs
+      in
+      reaches t ys
+      && List.for_all
+           (fun i -> not (reaches t (List.filteri (fun j _ -> j <> i) ys)))
+           (List.init (List.length ys) Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Pinned shared-memory replays                                         *)
@@ -430,6 +486,101 @@ let test_pinned_shm_schedules () =
     (chaos_schedule (Schedule.Starving 4))
 
 (* ------------------------------------------------------------------ *)
+(* Golden campaign                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Fault_goldens.chaos] — report, counterexamples, replay lines and
+   metrics — as rendered when each fault substrate still had its own
+   campaign module: the shared engine must reproduce every string byte
+   for byte. *)
+let pinned_chaos_campaign =
+  {
+    Fault_goldens.report =
+      String.concat "\n"
+        [
+          "anderson           none               runs=4    flagged=0    stuck=0    faults-fired=0";
+          "anderson           crash-writer0      runs=4    flagged=0    stuck=0    faults-fired=0";
+          "anderson           lost-writes        runs=4    flagged=1    stuck=0    faults-fired=3";
+          "unsafe-collect     none               runs=4    flagged=1    stuck=0    faults-fired=0";
+          "unsafe-collect     crash-writer0      runs=4    flagged=1    stuck=0    faults-fired=0";
+          "unsafe-collect     lost-writes        runs=4    flagged=1    stuck=0    faults-fired=2";
+          "total: runs=24 flagged=4 stuck=0";
+        ];
+    cx_lines =
+      [
+        "impl=anderson c=2 r=2 writes=2 scans=2 fault-seed=3 label=lost-writes faults=lost:0.15 crashes= stalls= script=0,2";
+        "impl=unsafe-collect c=2 r=2 writes=2 scans=2 fault-seed=3 label=none faults= crashes= stalls= script=2";
+        "impl=unsafe-collect c=2 r=2 writes=2 scans=2 fault-seed=3 label=crash-writer0 faults= crashes= stalls= script=2";
+        "impl=unsafe-collect c=2 r=2 writes=2 scans=2 fault-seed=3 label=lost-writes faults= crashes= stalls= script=2";
+      ];
+    cx_reports =
+      [
+        String.concat "\n"
+          [
+            "minimized counterexample: impl=anderson profile=lost-writes";
+            "fault stack: lost:0.15 over sim";
+            "chaos elements: 1 (from 1)  schedule entries: 2 (from 40)  minimizer replays: 15";
+            "faults=[lost:0.15] crashes=[] stalls=[] fault-seed=3";
+            "violations of the minimized run:";
+            "Proximity: Read by p0 returned overwritten id 1 for component 1 (Write id 2 precedes the Read)";
+            "Proximity: Read by p1 returned overwritten id 1 for component 1 (Write id 2 precedes the Read)";
+            "Write Precedence: Read by p0 orders a 1-Write against a 0-Write that precedes it";
+            "Write Precedence: Read by p1 orders a 1-Write against a 0-Write that precedes it";
+            "replay with:";
+            "  chaos --replay 'impl=anderson c=2 r=2 writes=2 scans=2 fault-seed=3 label=lost-writes faults=lost:0.15 crashes= stalls= script=0,2'";
+          ];
+        String.concat "\n"
+          [
+            "minimized counterexample: impl=unsafe-collect profile=none";
+            "fault stack: pass-through over sim";
+            "chaos elements: 0 (from 0)  schedule entries: 1 (from 12)  minimizer replays: 8";
+            "faults=[] crashes=[] stalls=[] fault-seed=3";
+            "violations of the minimized run:";
+            "Write Precedence: Read by p0 orders a 0-Write against a 1-Write that precedes it";
+            "replay with:";
+            "  chaos --replay 'impl=unsafe-collect c=2 r=2 writes=2 scans=2 fault-seed=3 label=none faults= crashes= stalls= script=2'";
+          ];
+        String.concat "\n"
+          [
+            "minimized counterexample: impl=unsafe-collect profile=crash-writer0";
+            "fault stack: pass-through over sim";
+            "chaos elements: 0 (from 1)  schedule entries: 1 (from 12)  minimizer replays: 9";
+            "faults=[] crashes=[] stalls=[] fault-seed=3";
+            "violations of the minimized run:";
+            "Write Precedence: Read by p0 orders a 0-Write against a 1-Write that precedes it";
+            "replay with:";
+            "  chaos --replay 'impl=unsafe-collect c=2 r=2 writes=2 scans=2 fault-seed=3 label=crash-writer0 faults= crashes= stalls= script=2'";
+          ];
+        String.concat "\n"
+          [
+            "minimized counterexample: impl=unsafe-collect profile=lost-writes";
+            "fault stack: pass-through over sim";
+            "chaos elements: 0 (from 1)  schedule entries: 1 (from 12)  minimizer replays: 9";
+            "faults=[] crashes=[] stalls=[] fault-seed=3";
+            "violations of the minimized run:";
+            "Write Precedence: Read by p0 orders a 0-Write against a 1-Write that precedes it";
+            "replay with:";
+            "  chaos --replay 'impl=unsafe-collect c=2 r=2 writes=2 scans=2 fault-seed=3 label=lost-writes faults= crashes= stalls= script=2'";
+          ];
+      ];
+    metrics =
+      String.concat "\n"
+        [
+          "{\"type\":\"counter\",\"name\":\"chaos.faults_fired\",\"value\":5}";
+          "{\"type\":\"counter\",\"name\":\"chaos.flagged\",\"value\":4}";
+          "{\"type\":\"counter\",\"name\":\"chaos.minimize_replays\",\"value\":41}";
+          "{\"type\":\"counter\",\"name\":\"chaos.runs\",\"value\":24}";
+          "{\"type\":\"histogram\",\"name\":\"chaos.schedule_entries\",\"value\":{\"count\":24,\"min\":12,\"max\":40,\"mean\":24.666666666666668,\"p10\":12,\"p50\":12,\"p90\":40,\"p99\":40,\"p999\":40}}";
+          "{\"type\":\"counter\",\"name\":\"chaos.stuck\",\"value\":0}";
+          "";
+        ];
+  }
+
+let test_golden_campaign () =
+  Fault_goldens.check_same "chaos" ~expected:pinned_chaos_campaign
+    (Fault_goldens.chaos ~jobs:1)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "chaos"
@@ -465,11 +616,15 @@ let () =
           Alcotest.test_case "counterexample script round-trip" `Quick
             test_cx_script_roundtrip;
         ] );
+      ( "ddmin",
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_ddmin_budget; qcheck_ddmin_one_minimal ] );
       ( "pinned",
         [
           Alcotest.test_case "shm counterexample replays" `Quick
             test_pinned_shm_replay;
           Alcotest.test_case "shm schedules and stats" `Quick
             test_pinned_shm_schedules;
+          Alcotest.test_case "golden campaign" `Quick test_golden_campaign;
         ] );
     ]

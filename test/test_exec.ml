@@ -148,6 +148,15 @@ let test_chaos_determinism () =
   in
   Alcotest.(check (list string)) "counterexamples identical" (cxs r1) (cxs r3)
 
+(* The three fault substrates in one table: the rendered report, every
+   counterexample and replay line, and the merged metrics dump are the
+   same at one job and at three. *)
+let test_fault_campaigns_jobs_invariant () =
+  List.iter
+    (fun (name, render) ->
+      Fault_goldens.check_same name ~expected:(render ~jobs:1) (render ~jobs:3))
+    Fault_goldens.all
+
 (* ------------------------------------------------------------------ *)
 (* Metrics merge and snapshot stability                                 *)
 (* ------------------------------------------------------------------ *)
@@ -335,6 +344,8 @@ let () =
             test_campaign_pool_spans;
           Alcotest.test_case "chaos jobs=1 vs jobs=3" `Quick
             test_chaos_determinism;
+          Alcotest.test_case "fault campaigns jobs=1 vs jobs=3" `Quick
+            test_fault_campaigns_jobs_invariant;
         ] );
       ( "metrics",
         Alcotest.test_case "snapshot order-stable" `Quick

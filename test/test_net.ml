@@ -447,8 +447,21 @@ let test_broken_quorum_flagged () =
                Workload.Netchaos.replay cx'.Workload.Netchaos.cx_case
                  ~script:cx'.Workload.Netchaos.cx_script
              with
-            | Workload.Chaos.Flagged _ -> true
-            | _ -> false))
+            | Workload.Fault_campaign.Flagged _ -> true
+            | _ -> false);
+          Fault_goldens.check_rejects Workload.Netchaos.cx_of_string
+            [
+              ( "impl=anderson n=0 quorum=majority c=2 r=2 writes=2 scans=2 \
+                 seed=1 script=",
+                "net replay script: n=0 is below 1" );
+              ( "impl=anderson n=3 quorum=majority c=2 r=2 writes=2 scans=2 \
+                 seed=1 crashes=0:1,1:1 script=",
+                "net replay script: Net.Sim.create: 2 silent replica(s) among \
+                 3 \xe2\x80\x94 need f < n/2" );
+              ( "impl=anderson n=3 quorum=4 c=2 r=2 writes=2 scans=2 seed=1 \
+                 script=",
+                "net replay script: bad quorum \"4\"" );
+            ])
   | cells ->
       Alcotest.failf "expected 1 cell, got %d" (List.length cells)
 
@@ -474,11 +487,11 @@ let test_pinned_replay () =
     Workload.Netchaos.replay cx.Workload.Netchaos.cx_case
       ~script:cx.Workload.Netchaos.cx_script
   with
-  | Workload.Chaos.Flagged vs ->
+  | Workload.Fault_campaign.Flagged vs ->
       check bool "pinned script yields violations" true (vs <> [])
-  | Workload.Chaos.Passed -> Alcotest.fail "pinned counterexample passed"
-  | Workload.Chaos.Stuck_run m -> Alcotest.failf "pinned replay stuck: %s" m
-  | Workload.Chaos.Diverged m ->
+  | Workload.Fault_campaign.Passed -> Alcotest.fail "pinned counterexample passed"
+  | Workload.Fault_campaign.Stuck_run m -> Alcotest.failf "pinned replay stuck: %s" m
+  | Workload.Fault_campaign.Diverged m ->
       Alcotest.failf
         "pinned replay diverged (action enumeration changed?): %s" m
 
@@ -582,6 +595,82 @@ let test_recv_unwound () =
   check bool "bad script rejected" true bad;
   check int "the blocked client was unwound once" 1 !finals
 
+(* ------------------------------------------------------------------ *)
+(* Golden campaign                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Fault_goldens.net] — report, counterexamples, replay lines and
+   metrics — as rendered when each fault substrate still had its own
+   campaign module: the shared engine must reproduce every string byte
+   for byte. *)
+let pinned_net_campaign =
+  {
+    Fault_goldens.report =
+      String.concat "\n"
+        [
+          "anderson           none             runs=6    flagged=0    stuck=0    msgs=2520 lost=0";
+          "anderson           broken-quorum    runs=6    flagged=1    stuck=0    msgs=2490 lost=739";
+          "anderson           forge            runs=6    flagged=6    stuck=0    msgs=2520 lost=0";
+          "total: runs=18 flagged=7 stuck=0";
+        ];
+    cx_lines =
+      [
+        "impl=anderson n=3 quorum=1 c=2 r=2 writes=2 scans=2 seed=5 label=broken-quorum loss=0.3 crashes= byz= script=2,1,0,2,4,0,0,2,2,8,6,1,6,9,2,8,2,3,0,7,6,4,2,0,0,4,0,0,3,3,0,5,3,1,3,1,3,3,3,0,3,1,4,1,3,2,0,0,2,0,0,0,2,1";
+        "impl=anderson n=3 quorum=majority c=2 r=2 writes=2 scans=2 seed=1 label=forge loss=0 crashes= byz=0:forge script=";
+      ];
+    cx_reports =
+      [
+        String.concat "\n"
+          [
+            "minimized counterexample: impl=anderson profile=broken-quorum n=3 quorum=1";
+            "fault elements: 1 (from 1)  message-schedule entries: 54 (from 292)  minimizer replays: 200";
+            "loss=0.3 crashes=[] byz=[] seed=5";
+            "violations of the minimized run:";
+            "Write Precedence: Read by p0 orders a 1-Write against a 0-Write that precedes it";
+            "Write Precedence: Read by p0 orders a 1-Write against a 0-Write that precedes it";
+            "replay with:";
+            "  net --replay 'impl=anderson n=3 quorum=1 c=2 r=2 writes=2 scans=2 seed=5 label=broken-quorum loss=0.3 crashes= byz= script=2,1,0,2,4,0,0,2,2,8,6,1,6,9,2,8,2,3,0,7,6,4,2,0,0,4,0,0,3,3,0,5,3,1,3,1,3,3,3,0,3,1,4,1,3,2,0,0,2,0,0,0,2,1'";
+          ];
+        String.concat "\n"
+          [
+            "minimized counterexample: impl=anderson profile=forge n=3 quorum=majority";
+            "fault elements: 1 (from 1)  message-schedule entries: 0 (from 418)  minimizer replays: 22";
+            "loss=0 crashes=[] byz=[0:forge] seed=1";
+            "violations of the minimized run:";
+            "Proximity: Read by p0 returned overwritten id 0 for component 1 (Write id 1 precedes the Read)";
+            "Proximity: Read by p0 returned overwritten id 0 for component 1 (Write id 2 precedes the Read)";
+            "Proximity: Read by p0 returned overwritten id 0 for component 0 (Write id 1 precedes the Read)";
+            "Proximity: Read by p1 returned overwritten id 0 for component 1 (Write id 1 precedes the Read)";
+            "Proximity: Read by p1 returned overwritten id 0 for component 1 (Write id 2 precedes the Read)";
+            "Proximity: Read by p1 returned overwritten id 0 for component 0 (Write id 1 precedes the Read)";
+            "Proximity: Read by p1 returned overwritten id 0 for component 0 (Write id 2 precedes the Read)";
+            "Read Precedence: Reads by p0 and p0 obtained inconsistent snapshots (component 1)";
+            "Read Precedence: Reads by p0 and p1 obtained inconsistent snapshots (component 1)";
+            "replay with:";
+            "  net --replay 'impl=anderson n=3 quorum=majority c=2 r=2 writes=2 scans=2 seed=1 label=forge loss=0 crashes= byz=0:forge script='";
+          ];
+      ];
+    metrics =
+      String.concat "\n"
+        [
+          "{\"type\":\"counter\",\"name\":\"netchaos.byz.replica0\",\"value\":420}";
+          "{\"type\":\"counter\",\"name\":\"netchaos.byz_lies\",\"value\":420}";
+          "{\"type\":\"counter\",\"name\":\"netchaos.flagged\",\"value\":7}";
+          "{\"type\":\"counter\",\"name\":\"netchaos.msgs_lost\",\"value\":739}";
+          "{\"type\":\"counter\",\"name\":\"netchaos.msgs_sent\",\"value\":7530}";
+          "{\"type\":\"counter\",\"name\":\"netchaos.runs\",\"value\":18}";
+          "{\"type\":\"histogram\",\"name\":\"netchaos.scan.latency\",\"value\":{\"count\":72,\"min\":52,\"max\":281,\"mean\":176.54166666666666,\"p10\":63,\"p50\":188,\"p90\":244,\"p99\":280,\"p999\":280}}";
+          "{\"type\":\"histogram\",\"name\":\"netchaos.schedule_entries\",\"value\":{\"count\":18,\"min\":274,\"max\":419,\"mean\":373.3333333333333,\"p10\":280,\"p50\":416,\"p90\":416,\"p99\":416,\"p999\":416}}";
+          "{\"type\":\"counter\",\"name\":\"netchaos.stuck\",\"value\":0}";
+          "{\"type\":\"histogram\",\"name\":\"netchaos.update.latency\",\"value\":{\"count\":72,\"min\":3,\"max\":192,\"mean\":73.38888888888889,\"p10\":6,\"p50\":35,\"p90\":172,\"p99\":192,\"p999\":192}}";
+          "";
+        ];
+  }
+
+let test_golden_campaign () =
+  Fault_goldens.check_same "net" ~expected:pinned_net_campaign
+    (Fault_goldens.net ~jobs:1)
+
 let () =
   Alcotest.run "net"
     [
@@ -619,5 +708,6 @@ let () =
             test_pinned_replay;
           Alcotest.test_case "campaign jobs-independent" `Slow
             test_campaign_net_jobs_identical;
+          Alcotest.test_case "golden campaign" `Quick test_golden_campaign;
         ] );
     ]

@@ -677,7 +677,7 @@ let test_causal_clean_run () =
     bare.Workload.Netchaos.net.Net.Sim.sent
     traced.Workload.Netchaos.net.Net.Sim.sent;
   check bool "clean" true
-    (traced.Workload.Netchaos.outcome = Workload.Chaos.Passed);
+    (traced.Workload.Netchaos.outcome = Workload.Fault_campaign.Passed);
   check bool "spans collected" true (Obs.Causal.span_count c > 0);
   check int "no mismatches" 0 (Obs.Causal.mismatched c);
   (* per-replica rpcs: every phase span fathers one rpc per replica *)
@@ -712,7 +712,7 @@ let test_causal_crashed_run () =
   in
   let c = Obs.Causal.create () in
   let r = Workload.Netchaos.run_once ~causal:c case in
-  check bool "masked" true (r.Workload.Netchaos.outcome = Workload.Chaos.Passed);
+  check bool "masked" true (r.Workload.Netchaos.outcome = Workload.Fault_campaign.Passed);
   let unclosed =
     List.filter (fun s -> not s.Obs.Causal.closed) (Obs.Causal.spans c)
   in
