@@ -1420,8 +1420,10 @@ let e8 () =
 
 (* One serving-layer cell: C writer domains each run [rounds] bursts of
    [burst] writes — [burst - 1] asynchronous posts (the coalescing path)
-   followed by one synchronous update whose end-to-end latency
-   (mailbox -> applier -> publish -> ack) is sampled — while R reader
+   followed by one synchronous update whose end-to-end latency is
+   sampled: mailbox -> shard drain -> publish -> ack, where the drain is
+   run by whoever holds the shard's drain token (usually the writer
+   itself; the applier domains drain the posts) — while R reader
    domains scan at full speed until the writers finish.  Throughput and
    latency are wall-clock (shape only, like E7/E8); the coalesce and
    cache ratios come from the exact serve counters.  Runs even under

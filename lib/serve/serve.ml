@@ -108,18 +108,19 @@ type 'a t = {
   migrate : bool;  (* false = the publish-map-without-state mutant *)
   note : (string -> unit) option;
   (* Current layout.  The arrays themselves are immutable; the fields
-     are swapped wholesale by [reshard] while no applier is running.
-     Writers never read it: a post goes to its component's mailbox,
+     are swapped wholesale by [reshard] while it holds every drain
+     token.  A post never reads it: it goes to its component's mailbox,
      which whichever shard owns the component in the current epoch
-     drains. *)
+     drains.  [update] reads [owner] only to pick the token to take, and
+     trusts it only if the epoch is unchanged once the token is held. *)
   mutable cur_shards : int;
   mutable slice_off : int array;  (* per shard: first owned component *)
   mutable slice_len : int array;  (* per shard: number of owned components *)
   mutable owner : int array;  (* component -> owning shard *)
-  mutable states : 'a Composite.Item.t array array;  (* applier-private *)
+  mutable states : 'a Composite.Item.t array array;  (* token-holder-private *)
   mutable last_boundary : 'a Composite.Item.t array;  (* at last epoch start *)
   outer : 'a slot Composite.Snapshot.t;
-  (* Bumped by the owning applier BEFORE each publish: a reader that
+  (* Bumped by the shard's token holder BEFORE each publish: a reader that
      finds a cell equal to its cached version knows no publish of that
      slot has intervened (cells can run ahead of the outer register,
      never behind it).  Cell 0 guards the configuration slot, so one
@@ -128,7 +129,12 @@ type 'a t = {
   mailboxes : ('a * int) option Atomic.t array;  (* per comp: value, ticket *)
   tickets : int array;  (* per component; touched only by its writer *)
   acked : (int * int) Atomic.t array;  (* per comp: last applied ticket, id *)
-  next_id : int array;  (* per component; touched only by its applier *)
+  next_id : int array;  (* per component; touched only by a token holder *)
+  (* Drain tokens, one per shard slot: holding [tokens.(s)] is the only
+     way to run [drain_shard t s].  The CAS that takes a token and the
+     store that releases it hand the shard's [states], [next_id] and the
+     outer slot's writer-local state from one drainer to the next. *)
+  tokens : bool Atomic.t array;  (* max_shards; padded *)
   posted : int Atomic.t array;  (* per component *)
   coalesced : int Atomic.t array;  (* per component *)
   applied : int Atomic.t array;  (* per component *)
@@ -279,6 +285,7 @@ let create ?(outer = Outer_afek) ?(cache = true) ?(combine = true)
     tickets = Array.make components 0;
     acked = Pad.array components (0, 0);
     next_id = Array.make components 0;
+    tokens = Pad.array max_shards false;
     posted = Pad.array components 0;
     coalesced = Pad.array components 0;
     applied = Pad.array components 0;
@@ -315,7 +322,7 @@ let with_span t name f =
     r
 
 (* ------------------------------------------------------------------ *)
-(* Write path: mailboxes, coalescing, appliers                          *)
+(* Write path: mailboxes, coalescing, drain tokens, appliers           *)
 (* ------------------------------------------------------------------ *)
 
 let post t ~writer v =
@@ -324,19 +331,20 @@ let post t ~writer v =
   t.tickets.(writer) <- t.tickets.(writer) + 1;
   Atomic.incr t.posted.(writer);
   (* The exchange hands the mailbox over wait-free: whatever it returns
-     was never taken by the applier (its own exchange would have got it
+     was never taken by a drainer (its own exchange would have got it
      first), so "applied" and "coalesced" partition the posts exactly. *)
   match Atomic.exchange t.mailboxes.(writer) (Some (v, t.tickets.(writer))) with
   | None -> ()
   | Some _ -> Atomic.incr t.coalesced.(writer)
 
 (* One pass over the owned mailboxes; returns whether anything was
-   applied.  Each mailbox has one writer and is emptied only by its
-   owning shard's drainer, so the value it holds is always that
-   writer's latest post and applied tickets rise per component without
-   any check here.  An empty mailbox costs one load, not an exchange
-   (a post landing after the load is picked up by the next pass), and
-   an idle pass allocates nothing: the applier runs it on every poll. *)
+   applied.  The caller holds shard [s]'s drain token.  Each mailbox has
+   one writer and is emptied only by the holder of its owning shard's
+   token, so the value it holds is always that writer's latest post and
+   applied tickets rise per component without any check here.  An empty
+   mailbox costs one load, not an exchange (a post landing after the
+   load is picked up by the next pass), and an idle pass allocates
+   nothing: the applier runs it on every poll. *)
 let drain_shard t s =
   let off = t.slice_off.(s) and len = t.slice_len.(s) in
   let acks = ref [] in
@@ -378,24 +386,58 @@ let drain_shard t s =
     List.iter (fun (k, ticket, id) -> Atomic.set t.acked.(k) (ticket, id)) acks;
     true
 
-let drain_all t =
-  for s = 0 to t.cur_shards - 1 do
-    ignore (drain_shard t s : bool)
-  done
+(* Drain tokens.  [try_token] is one test-and-test-and-set; [take_token]
+   waits for the token with backoff and allocates only when it is
+   contended. *)
+let try_token t s =
+  let tok = t.tokens.(s) in
+  (not (Atomic.get tok)) && Atomic.compare_and_set tok false true
+
+let take_token t s =
+  if not (try_token t s) then begin
+    let b = Backoff.make t.stalls in
+    while not (try_token t s) do
+      Backoff.once b
+    done
+  end
+
+let release_token t s = Atomic.set t.tokens.(s) false
+
+(* With shard [s]'s token held: drain the shard unless a reshard has
+   moved the epoch past [epoch] (the caller picked [s] from that
+   epoch's layout, which has since been swapped), then release. *)
+let drain_held t ~epoch s =
+  if Atomic.get t.cur_epoch = epoch then ignore (drain_shard t s : bool);
+  release_token t s
 
 let drain t =
   if t.appliers <> [] then
     invalid_arg "Serve.drain: appliers are running; drain is for manual mode";
-  drain_all t
+  (* A reshard during this loop drained every mailbox in its boundary
+     sweep, so skipping the stale indices loses nothing. *)
+  let epoch = Atomic.get t.cur_epoch in
+  for s = 0 to t.cur_shards - 1 do
+    take_token t s;
+    drain_held t ~epoch s
+  done
 
 let applier t s () =
   let b = Backoff.make t.stalls in
   while not (Atomic.get t.stop) do
-    if drain_shard t s then Backoff.reset b else Backoff.once b
+    (* A busy token means a synchronous update is draining this shard
+       itself: back off as if idle. *)
+    if try_token t s then begin
+      let progressed = drain_shard t s in
+      release_token t s;
+      if progressed then Backoff.reset b else Backoff.once b
+    end
+    else Backoff.once b
   done;
-  (* One sweep after the stop flag: posts that raced with shutdown must
-     still be applied so blocked synchronous updates can complete. *)
-  ignore (drain_shard t s : bool)
+  (* One sweep after the stop flag, waiting for the token if an update
+     holds it: posts that raced with shutdown must still be applied. *)
+  take_token t s;
+  ignore (drain_shard t s : bool);
+  release_token t s
 
 let start t =
   Mutex.lock t.reconfig;
@@ -414,6 +456,15 @@ let shutdown t =
   t.appliers <- [];
   Mutex.unlock t.reconfig
 
+(* A synchronous write publishes itself: until its ticket is acked, the
+   writer drains its own shard whenever the shard's token is free, so it
+   never waits on an applier.  The epoch is read before the owner and
+   re-read under the token.  [reshard] swaps the layout only while it
+   holds every token and bumps the epoch before releasing them, so an
+   unchanged epoch means [owner.(writer)] and the layout [drain_shard]
+   reads belong to this epoch; otherwise the writer retries in the new
+   one.  The linearization point is still the publish, which the ack
+   follows. *)
 let update t ~writer v =
   post t ~writer v;
   let ticket = t.tickets.(writer) in
@@ -422,7 +473,9 @@ let update t ~writer v =
     let tk, id = Atomic.get t.acked.(writer) in
     if tk >= ticket then id
     else begin
-      Backoff.once b;
+      let epoch = Atomic.get t.cur_epoch in
+      let s = t.owner.(writer) in
+      if try_token t s then drain_held t ~epoch s else Backoff.once b;
       wait ()
     end
   in
@@ -556,19 +609,29 @@ let reshard t ~shards:s' =
   let e = Atomic.get t.cur_epoch in
   with_span t (Printf.sprintf "reshard.e%d" (e + 1)) @@ fun () ->
   let running = t.appliers <> [] in
-  (* 1. Quiesce the appliers of the closing epoch.  Posts and scans
-     keep flowing: posts land in mailboxes and are drained into the new
-     layout; scans decode whichever configuration the outer register
-     holds when they collect. *)
+  (* 1. Quiesce the appliers of the closing epoch, then take every drain
+     token — all [max_shards] of them, not only the closing epoch's, so
+     that an update which read the new owner map before the epoch bump
+     cannot drain under it.  From here to the release this thread is
+     the only drainer.  Posts and scans keep flowing: posts land in
+     mailboxes and are drained into the new layout; scans decode
+     whichever configuration the outer register holds when they
+     collect; synchronous updates wait for the tokens and then drain
+     themselves in the new epoch. *)
   if running then begin
     Atomic.set t.stop true;
     List.iter Domain.join t.appliers;
     t.appliers <- []
   end;
-  (* One more sweep on this thread to shrink the carried residue (not
-     for correctness: anything still pending is drained by the new
-     epoch's appliers, which own every mailbox between them). *)
-  drain_all t;
+  for s = 0 to t.max_shards - 1 do
+    take_token t s
+  done;
+  (* One sweep to shrink the carried residue (not for correctness:
+     anything still pending is drained in the new epoch, whose shards
+     own every mailbox between them). *)
+  for s = 0 to t.cur_shards - 1 do
+    ignore (drain_shard t s : bool)
+  done;
   (* 2. Boundary: everything applied up to this instant, as C items
      with their auxiliary ids. *)
   let boundary =
@@ -604,7 +667,9 @@ let reshard t ~shards:s' =
            cversion;
          })
   in
-  (* 4. Install the new layout and respawn. *)
+  (* 4. Install the new layout, bump the epoch, and only then release
+     the tokens: a drainer that takes a token afterwards sees the new
+     epoch, and one that read the old epoch retries.  Then respawn. *)
   t.cur_shards <- s';
   t.slice_off <- slice_off;
   t.slice_len <- slice_len;
@@ -613,6 +678,9 @@ let reshard t ~shards:s' =
   t.last_boundary <- migrated;
   Atomic.set t.cur_epoch (e + 1);
   t.epoch_log <- (e + 1, s', record_boundary) :: t.epoch_log;
+  for s = 0 to t.max_shards - 1 do
+    release_token t s
+  done;
   if running then begin
     Atomic.set t.stop false;
     t.appliers <- List.init s' (fun s -> Domain.spawn (applier t s))
@@ -629,7 +697,7 @@ let reshard t ~shards:s' =
    the configuration's epoch, and the configuration's boundary
    otherwise (the shard has not published since the switch, so its
    components' state IS the boundary state).  A view tagged with a
-   NEWER epoch than the configuration cannot appear: appliers only
+   NEWER epoch than the configuration cannot appear: drainers only
    publish after the configuration carrying their epoch, and the
    collect is atomic. *)
 let raw_full_scan t ~reader =

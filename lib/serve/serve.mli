@@ -19,29 +19,36 @@
 
     Writers never touch the outer register.  A {!post} drops the value
     into the component's {e mailbox} — a single [Atomic.exchange], so
-    the handoff is wait-free — and each shard has one {e applier}
-    domain that repeatedly drains its mailboxes, folds the batch into
-    its private shard state, and publishes the new view with a single
-    outer-register update.  Posts to a component that arrive while an
+    the handoff is wait-free.  A {e drain} of a shard empties its
+    mailboxes, folds the batch into the shard state, and publishes the
+    new view with a single outer-register update.  Each shard has one
+    {e drain token}, and only its holder may drain the shard: the
+    shard's {e applier} domain ({!start}) takes it on every poll,
+    {!drain} and {!reshard} take it, and so does a synchronous
+    {!update}.  Posts to a component that arrive while an
     earlier post is still in the mailbox {e coalesce}: the mailbox
     keeps only the latest value and the earlier one is counted in the
     coalesce counters.  Because the exchange is atomic, every post is
     either applied or coalesced, exactly once:
     [posted = applied + coalesced + pending].  The mailbox is the only
     write channel: each one has a single writer and is emptied only by
-    its owning shard's drainer, so a drain is one pass over the owned
-    mailboxes with nothing left to arbitrate.
+    the holder of its owning shard's token, so a drain is one pass over
+    the owned mailboxes with nothing left to arbitrate.  Taking and
+    releasing the token hands the shard state, the id counters and the
+    outer slot's writer-local state from one drainer to the next.
 
     The synchronous {!update} (the {!handle} path used by the stress
-    harness and checkers) posts and then waits for its ticket to be
-    acknowledged; acks are written only after the publish, so the write
-    is in the outer register when [update] returns, and every
+    harness and checkers) posts and then, until its ticket is
+    acknowledged, drains its own shard whenever the shard's token is
+    free — it publishes itself instead of waiting for an applier to
+    wake.  Acks are written only after the publish, whoever drains, so
+    the write is in the outer register when [update] returns, and every
     synchronous write receives an auxiliary id — no write checked by
     the history checkers is ever coalesced away.
 
     {2 Read path}
 
-    Every shard has a version counter: a plain atomic cell the applier
+    Every shard has a version counter: a plain atomic cell the drainer
     bumps {e before} each publish, and whose current value is also
     embedded in each published view.  A reader caches its last full
     scan together with the version vector it saw.  On the next Scan it
@@ -101,13 +108,14 @@
     (the shard has not published since the switch, so its components'
     state is exactly the boundary state).
 
-    A reshard quiesces the closing epoch's appliers, drains, snapshots
-    the boundary, publishes the new configuration (bumping the
-    configuration's version cell first, so every validated cache and
-    shared snapshot of the old epoch goes stale), installs the new
-    layout and respawns appliers.  Writers never stop: posts keep
+    A reshard quiesces the closing epoch's appliers, takes every drain
+    token, drains, snapshots the boundary, publishes the new
+    configuration (bumping the configuration's version cell first, so
+    every validated cache and shared snapshot of the old epoch goes
+    stale), installs the new layout, bumps the epoch, releases the
+    tokens and respawns appliers.  Writers never stop: posts keep
     landing in their components' mailboxes, which the new epoch's
-    appliers drain into the new layout, so the
+    drainers drain into the new layout, so the
     [posted = applied + coalesced + pending] identity holds {e per
     epoch} (see {!epoch_stats}), with the boundary residue carried into
     the next epoch.
@@ -120,8 +128,8 @@
     re-written; the checkers must flag the new-old inversions. *)
 
 (** Bounded exponential backoff for spin waits, shared by every spin
-    site in the serving stack (applier idle loop, synchronous-update
-    ack wait, scan-sharing enlistment) and reusable by campaigns and
+    site in the serving stack (applier idle loop, drain-token waits,
+    scan-sharing enlistment) and reusable by campaigns and
     the network edge.  Same shape as the ABD retransmit policy: the
     delay doubles from 1 up to [cap] relaxations per wave and collapses
     back on progress.  Every wave spent {e at} the cap increments the
@@ -224,18 +232,20 @@ val start : 'a t -> unit
 
 val shutdown : 'a t -> unit
 (** Stop and join the appliers.  Each applier performs one final drain
-    after seeing the stop flag, so posts issued before [shutdown] are
-    still applied.  Callers must have stopped issuing operations. *)
+    after seeing the stop flag, waiting for its shard's token if needed,
+    so posts issued before [shutdown] are still applied.  Callers must
+    have stopped issuing operations. *)
 
 (** {2 Reconfiguration} *)
 
 val reshard : 'a t -> shards:int -> unit
 (** Move the service to [shards] shards, atomically with respect to
     every concurrent operation (see the module preamble: the epoch
-    switch is a single outer-register update carrying the migrated
     boundary).  Posts, synchronous updates and scans may be in flight
-    throughout; a synchronous {!update} issued during the switch
-    completes once the new epoch's appliers drain it.  Works in both
+    throughout; a synchronous {!update} issued during the switch waits
+    for the drain tokens, which the reshard holds from its boundary
+    sweep until the new layout and epoch are in place, and then
+    completes by draining its shard itself in the new epoch.  Works in both
     modes: with appliers running they are quiesced and respawned over
     the new layout; in manual mode ({!drain}) only the layout and epoch
     change.  Serialized with {!start}/{!shutdown} and other reshards.
@@ -258,10 +268,12 @@ val post : 'a t -> writer:int -> 'a -> unit
     component index (one writer process per component). *)
 
 val update : 'a t -> writer:int -> 'a -> int
-(** Synchronous write: posts, then waits until the owning applier has
-    published the value; returns the auxiliary id it was assigned.
-    Requires the appliers to be running ({!start}) — in manual mode
-    ({!drain}) it would spin forever. *)
+(** Synchronous write: posts, then returns the auxiliary id the value
+    was assigned once it is published.  Until then the writer drains
+    its component's shard itself whenever it can take the shard's
+    token, so it never waits on a sleeping applier; if another token
+    holder is draining, it backs off and re-checks its ack.  Works with
+    the appliers running and in manual mode alike. *)
 
 val scan_items : 'a t -> reader:int -> 'a Composite.Item.t array
 (** Linearizable Scan of all [C] components: a cache hit when the
@@ -278,9 +290,11 @@ val handle : 'a t -> 'a Composite.Snapshot.t
 
 val drain : 'a t -> unit
 (** Manual mode for deterministic unit tests: drain every shard's
-    mailboxes once on the calling thread.  A drain with every mailbox
-    empty allocates nothing.  Raises [Invalid_argument] if appliers are
-    running (shard state is applier-private). *)
+    mailboxes once on the calling thread, as the holder of each shard's
+    token in turn (waiting while a concurrent {!update} holds it).  A
+    drain with every mailbox empty allocates nothing.  Raises
+    [Invalid_argument] if appliers are running: they own the polling,
+    and manual mode is for the caller's own schedule. *)
 
 (** {2 Accounting}
 
@@ -307,8 +321,8 @@ type stats = {
   scans_performed : int;  (** requests that performed their own collect *)
   stalls : int;
       (** backoff waves that hit their cap across all spin sites — a
-          proxy for time burned waiting on a descheduled applier or
-          combiner *)
+          proxy for time burned idling in an applier or waiting on a
+          descheduled token holder or combiner *)
 }
 
 type writer_stats = { w_posted : int; w_coalesced : int; w_applied : int }

@@ -161,30 +161,50 @@ let test_epoch_stats_identities () =
 
 (* Stress one service lifetime with a reconfigurer domain walking
    [schedule] (a list of shard counts) while writers/readers run, as
-   Reshard_campaign does; returns the recorded history. *)
+   Reshard_campaign does; returns the recorded history.  Reshards are
+   paced on writer progress, so every closed epoch has a write applied
+   in it.  Scans are paced on writer progress or an epoch switch, and
+   once every write is done, on the next switch or the end of the
+   schedule: a synchronous update drains its own shard as soon as the
+   reshard releases the drain tokens, and writers can finish while a
+   reshard is still joining the appliers, so unpaced scans would rarely
+   land between a switch and the next write of a component. *)
 let stress_with_reshards srv ~schedule ~writer_ops ~reader_ops ~readers ~init =
   Serve.start srv;
   let total_writes = Serve.components srv * writer_ops in
   let applied () = (Serve.stats srv).Serve.applied in
-  let reader_pace () =
+  let stop = Atomic.make false in
+  let schedule_done = Atomic.make false in
+  let pace () =
     let before = applied () in
-    while before < total_writes && applied () = before do
+    while before < total_writes && applied () = before && not (Atomic.get stop)
+    do
       Domain.cpu_relax ()
     done
   in
-  let stop = Atomic.make false in
+  let reader_pace () =
+    let before = applied () and e = Serve.epoch srv in
+    let waiting () =
+      Serve.epoch srv = e
+      && (if before < total_writes then applied () = before
+          else not (Atomic.get schedule_done))
+    in
+    while waiting () do
+      Domain.cpu_relax ()
+    done
+  in
   let reconfigurer =
     Domain.spawn (fun () ->
-        List.iter
-          (fun s ->
-            if not (Atomic.get stop) then begin
-              Serve.reshard srv ~shards:s;
-              (* Let some traffic land in the new epoch. *)
-              for _ = 1 to 100 do
-                Domain.cpu_relax ()
-              done
-            end)
-          schedule)
+        Fun.protect
+          ~finally:(fun () -> Atomic.set schedule_done true)
+          (fun () ->
+            List.iter
+              (fun s ->
+                if not (Atomic.get stop) then begin
+                  pace ();
+                  Serve.reshard srv ~shards:s
+                end)
+              schedule))
   in
   let h =
     Composite.Multicore.stress ~reader_pace

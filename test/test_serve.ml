@@ -155,6 +155,150 @@ let test_accounting_invariant_under_domains () =
     (Serve.scan srv ~reader:0)
 
 (* ---------------------------------------------------------------- *)
+(* Synchronous writes drain their own shard                          *)
+(* ---------------------------------------------------------------- *)
+
+let test_update_manual_mode () =
+  (* No [start]: the update takes its shard's drain token and publishes
+     itself, draining the other writer's coalesced posts in the same
+     pass. *)
+  let srv = Serve.create ~shards:1 ~readers:1 ~init:[| 0; 0 |] () in
+  Serve.post srv ~writer:0 7;
+  Serve.post srv ~writer:0 8;
+  let id = Serve.update srv ~writer:1 9 in
+  let st = Serve.stats srv in
+  check int "applied" 2 st.Serve.applied;
+  check int "coalesced" 1 st.Serve.coalesced;
+  check int "publishes" 1 st.Serve.publishes;
+  check int "pending" 0 st.Serve.pending;
+  let items = Serve.scan_items srv ~reader:0 in
+  check int "returned id is w1's acked id" items.(1).Composite.Item.id id;
+  check int "w1's first applied write" 1 id;
+  check (Alcotest.array int) "scan shows both values" [| 8; 9 |]
+    (Composite.Item.values items)
+
+(* [update] racing the appliers, a second drainer and live reshards on
+   real domains.  Three writer domains mix [update] and [post] on one
+   component each; after every update they raise their component's
+   floor to the returned id.  Two reader domains read the floors, then
+   scan: a scan started after an update returned must hold an id at
+   least the returned one (read-your-writes).  A reconfigurer walks
+   2 -> 4 -> 1 -> 3 while the writers run; with [~manual:true] no
+   applier runs and a fourth domain calls [Serve.drain] in a loop,
+   racing the writers' own drains for the shard tokens.  The watchdog
+   turns a lost ack (an update spinning forever) into a failure. *)
+let self_drain_stress ~manual =
+  let writers = 3 and min_ops = 1000 in
+  let srv =
+    Serve.create ~shards:2 ~max_shards:4 ~readers:2 ~init:(Array.make 4 0) ()
+  in
+  if not manual then Serve.start srv;
+  let floors = Array.init writers (fun _ -> Atomic.make 0) in
+  let resharded = Atomic.make false and writers_left = Atomic.make writers in
+  let ryw_violations = Atomic.make 0 and non_increasing = Atomic.make 0 in
+  let writer k =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr writers_left)
+          (fun () ->
+            let last = ref 0 and i = ref 0 in
+            while !i < min_ops || not (Atomic.get resharded) do
+              incr i;
+              if !i mod 3 = 0 then Serve.post srv ~writer:k ((1000 * k) + !i)
+              else begin
+                let id = Serve.update srv ~writer:k ((1000 * k) + !i) in
+                if id <= !last then Atomic.incr non_increasing;
+                last := id;
+                Atomic.set floors.(k) id
+              end
+            done;
+            (* End on a synchronous write, so the final state is known. *)
+            ignore (Serve.update srv ~writer:k (-k - 1) : int)))
+  in
+  let reader j =
+    Domain.spawn (fun () ->
+        while Atomic.get writers_left > 0 do
+          let floor = Array.map Atomic.get floors in
+          let items = Serve.scan_items srv ~reader:j in
+          Array.iteri
+            (fun k f ->
+              if items.(k).Composite.Item.id < f then
+                Atomic.incr ryw_violations)
+            floor
+        done)
+  in
+  let reconfigurer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set resharded true)
+          (fun () ->
+            List.iter
+              (fun s ->
+                Unix.sleepf 2e-3;
+                Serve.reshard srv ~shards:s)
+              [ 4; 1; 3 ]))
+  in
+  let drainer =
+    if manual then
+      [
+        Domain.spawn (fun () ->
+            while Atomic.get writers_left > 0 do
+              Serve.drain srv
+            done);
+      ]
+    else []
+  in
+  let domains =
+    List.init writers writer @ List.init 2 reader @ (reconfigurer :: drainer)
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Atomic.get writers_left > 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 1e-3
+  done;
+  if Atomic.get writers_left > 0 then
+    Alcotest.failf "watchdog: %d writers still running after 30 s"
+      (Atomic.get writers_left);
+  List.iter Domain.join domains;
+  if not manual then Serve.shutdown srv;
+  let label s =
+    Printf.sprintf "%s: %s" (if manual then "manual" else "appliers") s
+  in
+  check int (label "read-your-writes") 0 (Atomic.get ryw_violations);
+  check int (label "update ids strictly increase") 0
+    (Atomic.get non_increasing);
+  check (Alcotest.array int) (label "final state") [| -1; -2; -3; 0 |]
+    (Serve.scan srv ~reader:0);
+  let st = Serve.stats srv in
+  check int (label "pending") 0 st.Serve.pending;
+  check int (label "posted = applied + coalesced") st.Serve.posted
+    (st.Serve.applied + st.Serve.coalesced);
+  check int
+    (label "requested = combined + performed")
+    st.Serve.scans_requested
+    (st.Serve.scans_combined + st.Serve.scans_performed);
+  let es = Serve.epoch_stats srv in
+  check int (label "epochs") 4 (Array.length es);
+  check (Alcotest.list int) (label "shards per epoch") [ 2; 4; 1; 3 ]
+    (Array.to_list (Array.map (fun e -> e.Serve.e_shards) es));
+  Array.iter
+    (fun (e : Serve.epoch_stats) ->
+      let l = label (Printf.sprintf "epoch %d" e.Serve.e_epoch) in
+      check int (l ^ " post identity")
+        (e.Serve.e_posted + e.Serve.e_carried_in)
+        (e.Serve.e_applied + e.Serve.e_coalesced + e.Serve.e_carried_out);
+      check int (l ^ " scan identity")
+        (e.Serve.e_scans_requested + e.Serve.e_inflight_in)
+        (e.Serve.e_scans_combined + e.Serve.e_scans_performed
+       + e.Serve.e_inflight_out);
+      check bool (l ^ " non-negative") true
+        (e.Serve.e_posted >= 0 && e.Serve.e_applied >= 0
+        && e.Serve.e_coalesced >= 0 && e.Serve.e_carried_in >= 0
+        && e.Serve.e_carried_out >= 0 && e.Serve.e_publishes >= 0
+        && e.Serve.e_inflight_in >= 0 && e.Serve.e_inflight_out >= 0))
+    es;
+  check int (label "final carry") 0 es.(3).Serve.e_carried_out
+
+(* ---------------------------------------------------------------- *)
 (* Cache accounting (manual drain)                                   *)
 (* ---------------------------------------------------------------- *)
 
@@ -643,6 +787,8 @@ let () =
             test_drain_single_pass;
           Alcotest.test_case "invariant under domains" `Quick
             test_accounting_invariant_under_domains;
+          Alcotest.test_case "update in manual mode" `Quick
+            test_update_manual_mode;
           Alcotest.test_case "cache hit/miss/stale" `Quick
             test_cache_hit_miss_stale;
           Alcotest.test_case "cache disabled" `Quick test_cache_disabled;
@@ -658,6 +804,13 @@ let () =
             test_combining_uncached_adoption;
           Alcotest.test_case "span markers" `Quick test_combining_span_markers;
           QCheck_alcotest.to_alcotest qcheck_combining_identity_under_domains;
+        ] );
+      ( "self-drain",
+        [
+          Alcotest.test_case "stress with appliers" `Quick (fun () ->
+              self_drain_stress ~manual:false);
+          Alcotest.test_case "stress racing manual drain" `Quick (fun () ->
+              self_drain_stress ~manual:true);
         ] );
       ( "differential",
         [
