@@ -7,8 +7,6 @@
    E4 — Space recurrence, measured = paper, C/B/R sweeps.
    E5 — Anderson vs Afek operation costs (crossover table).
    E6 — Linearizability campaign summary (all impls).
-   E7 — Wall-clock latency and domain throughput (Bechamel + domains).
-   E8 — PRMW counter vs mutex counter (Bechamel).
    E9 — Multi-writer composite register costs + verification.
    E15 — Parallel verification engine: campaign scaling over worker
          domains (--jobs), with verdicts and merged metrics asserted
@@ -30,25 +28,23 @@
          padded vs plain contended atomics, and the Afek fast path vs
          the Anderson oracle
          (with a deterministic differential replay gate).
-   E21 — Network edge: the TCP front-end under open-loop load
-         (Poisson arrivals, Zipfian skew) across shard and connection
-         counts for the serve and multicore backends, with exact
-         accounting (every op accounted for, identities at shutdown)
-         and shape-only wall-clock percentiles.
    E22 — Elastic sharding: throughput dip and recovery across an
          online reshard under live load, and the quiesce-migrate-
          publish cost vs shard count, with the per-epoch accounting
          identities asserted exactly.
 
    Counts (E1-E6, E9) are deterministic and compared against the paper
-   exactly; wall-clock numbers (E7, E8, E15 timings) are
+   exactly; wall-clock numbers (E15, E17, E20, E22 timings) are
    machine-dependent and only their shape is asserted in
    EXPERIMENTS.md.
 
-   Flags: --quick skips E7/E8; --json PATH dumps Record;
-   --jobs N shards the E6 campaigns and the E13 chaos sweep over N
-   domains (results are identical for every N — that is E15's
-   assertion). *)
+   Flags: --quick shrinks the wall-clock sections; --only NAME runs one
+   section of the table at the bottom of this file; --json PATH dumps
+   Record; --jobs N shards the E6 campaigns and the E13 chaos sweep
+   over N domains (results are identical for every N — that is E15's
+   assertion); --baseline PATH with --check gates this run against a
+   baseline, --write-baseline PATH writes one, and --compare PATH gates
+   an existing dump without running anything. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -1227,194 +1223,6 @@ let e18 ~jobs () =
   assert (Workload.Byzchaos.boundary_holds report)
 
 (* ------------------------------------------------------------------ *)
-(* E7 / E8: wall-clock (Bechamel + domain throughput)                   *)
-(* ------------------------------------------------------------------ *)
-
-let ns_per_run results name =
-  match Hashtbl.find_opt results name with
-  | None -> nan
-  | Some ols -> (
-    match Bechamel.Analyze.OLS.estimates ols with
-    | Some [ est ] -> est
-    | Some _ | None -> nan)
-
-let run_bechamel tests =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"" tests) in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  match Analyze.merge ols instances results with
-  | tbl -> Hashtbl.find tbl "monotonic-clock"
-
-let bech_test name f =
-  Bechamel.Test.make ~name (Bechamel.Staged.stage f)
-
-let e7 () =
-  section "E7: wall-clock operation latency (Atomic.t registers, this machine)";
-  let c = 3 in
-  let init = Array.make c 0 in
-  let anderson = Composite.Multicore.anderson ~readers:1 ~init in
-  let afek = Composite.Multicore.afek ~init in
-  let locked = Composite.Multicore.locked ~readers:1 ~init in
-  let unsafe = Composite.Multicore.unsafe_collect ~init in
-  let mk_pair label handle =
-    [
-      bech_test (label ^ "/scan") (fun () ->
-          ignore (handle.Composite.Snapshot.scan_items ~reader:0));
-      bech_test (label ^ "/update") (fun () ->
-          ignore (handle.Composite.Snapshot.update ~writer:0 42));
-    ]
-  in
-  let tests =
-    List.concat
-      [
-        mk_pair "anderson" anderson; mk_pair "afek" afek; mk_pair "locked" locked;
-        mk_pair "unsafe-collect" unsafe;
-      ]
-  in
-  let results = run_bechamel tests in
-  let t = Workload.Table.create ~header:[ "implementation"; "op"; "ns/op" ] in
-  List.iter
-    (fun (impl, op) ->
-      Workload.Table.add_row t
-        [
-          impl; op;
-          Workload.Table.cell_float ~decimals:1
-            (ns_per_run results (Printf.sprintf "/%s/%s" impl op));
-        ])
-    [
-      ("anderson", "scan"); ("anderson", "update"); ("afek", "scan");
-      ("afek", "update"); ("locked", "scan"); ("locked", "update");
-      ("unsafe-collect", "scan"); ("unsafe-collect", "update");
-    ];
-  Workload.Table.print t;
-  section "E7b: anderson scan latency vs C (wall-clock shadow of TR = O(2^C))";
-  let sweep =
-    List.map
-      (fun c ->
-        let h = Composite.Multicore.anderson ~readers:1 ~init:(Array.make c 0) in
-        bech_test
-          (Printf.sprintf "scanC%d" c)
-          (fun () -> ignore (h.Composite.Snapshot.scan_items ~reader:0)))
-      [ 1; 2; 4; 6; 8 ]
-  in
-  let results = run_bechamel sweep in
-  let t = Workload.Table.create ~header:[ "C"; "ns/scan"; "TR(C)" ] in
-  List.iter
-    (fun c ->
-      Workload.Table.add_row t
-        [
-          string_of_int c;
-          Workload.Table.cell_float ~decimals:1
-            (ns_per_run results (Printf.sprintf "/scanC%d" c));
-          string_of_int (Composite.Complexity.tr ~c);
-        ])
-    [ 1; 2; 4; 6; 8 ];
-  Workload.Table.print t;
-  section "E7c: domain throughput under contention (wait-free vs blocking)";
-  let throughput make =
-    let handle = make () in
-    let stop = Atomic.make false in
-    let counts = Array.init 3 (fun _ -> Atomic.make 0) in
-    let writer k =
-      Domain.spawn (fun () ->
-          while not (Atomic.get stop) do
-            ignore (handle.Composite.Snapshot.update ~writer:k 1);
-            Atomic.incr counts.(k)
-          done)
-    in
-    let writers = List.init 3 writer in
-    let reader_count = Atomic.make 0 in
-    let reader =
-      Domain.spawn (fun () ->
-          while not (Atomic.get stop) do
-            ignore (handle.Composite.Snapshot.scan_items ~reader:0);
-            Atomic.incr reader_count
-          done)
-    in
-    Unix.sleepf 0.3;
-    Atomic.set stop true;
-    List.iter Domain.join (reader :: writers);
-    let w = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 counts in
-    ( float_of_int w /. 0.3 /. 1e3,
-      float_of_int (Atomic.get reader_count) /. 0.3 /. 1e3 )
-  in
-  let t =
-    Workload.Table.create
-      ~header:[ "implementation"; "updates/ms (3 writers)"; "scans/ms (1 reader)" ]
-  in
-  List.iter
-    (fun (name, make) ->
-      let w, r = throughput make in
-      Workload.Table.add_row t
-        [
-          name;
-          Workload.Table.cell_float ~decimals:1 w;
-          Workload.Table.cell_float ~decimals:1 r;
-        ])
-    [
-      ("anderson", fun () -> Composite.Multicore.anderson ~readers:1 ~init:(Array.make 3 0));
-      ("afek", fun () -> Composite.Multicore.afek ~init:(Array.make 3 0));
-      ("locked", fun () -> Composite.Multicore.locked ~readers:1 ~init:(Array.make 3 0));
-    ];
-  Workload.Table.print t;
-  Printf.printf
-    "(host has %d core(s); on a single core the table shows per-op overhead \
-     rather than parallel scaling)\n"
-    (Domain.recommended_domain_count ())
-
-let e8 () =
-  section "E8: PRMW wait-free counter vs mutex counter (wall-clock)";
-  let factory =
-    {
-      Composite.Snapshot.make_sw =
-        (fun ~readers ~init ->
-          ignore readers;
-          Composite.Multicore.afek ~init);
-    }
-  in
-  let counter = Prmw.counter factory ~processes:2 ~readers:1 in
-  let mutex = Mutex.create () in
-  let mcount = ref 0 in
-  let tests =
-    [
-      bech_test "prmw/incr" (fun () -> Prmw.incr counter ~proc:0);
-      bech_test "prmw/get" (fun () -> ignore (Prmw.get counter ~reader:0));
-      bech_test "mutex/incr" (fun () ->
-          Mutex.lock mutex;
-          incr mcount;
-          Mutex.unlock mutex);
-      bech_test "mutex/get" (fun () ->
-          Mutex.lock mutex;
-          ignore !mcount;
-          Mutex.unlock mutex);
-    ]
-  in
-  let results = run_bechamel tests in
-  let t = Workload.Table.create ~header:[ "object"; "op"; "ns/op" ] in
-  List.iter
-    (fun (o, op) ->
-      Workload.Table.add_row t
-        [
-          o; op;
-          Workload.Table.cell_float ~decimals:1
-            (ns_per_run results (Printf.sprintf "/%s/%s" o op));
-        ])
-    [ ("prmw", "incr"); ("prmw", "get"); ("mutex", "incr"); ("mutex", "get") ];
-  Workload.Table.print t;
-  print_endline
-    "(the mutex counter is faster per op but blocking: a stalled holder stops \
-     all; the PRMW counter is wait-free)"
-
-(* ------------------------------------------------------------------ *)
 (* E17                                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1425,7 +1233,7 @@ let e8 () =
    run by whoever holds the shard's drain token (usually the writer
    itself; the applier domains drain the posts) — while R reader
    domains scan at full speed until the writers finish.  Throughput and
-   latency are wall-clock (shape only, like E7/E8); the coalesce and
+   latency are wall-clock (shape only); the coalesce and
    cache ratios come from the exact serve counters.  Runs even under
    --quick: each cell is a few hundred milliseconds and CI validates the
    E17 rows in BENCH.json. *)
@@ -2010,183 +1818,6 @@ let e20 ~quick () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E21                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The network edge: real sockets in one process — the TCP front-end
-   (effect-based accept loops on a worker-domain pool) over the sharded
-   serving layer and the multicore Afek handle, driven by the open-loop
-   generator (Poisson arrivals, Zipfian component skew, latency charged
-   from the op's scheduled arrival so queueing behind a saturated
-   server is not silently omitted).
-
-   Wall-clock throughput and percentiles are machine-dependent (shape
-   only; baseline-skipped field names).  What CI asserts exactly from
-   the rows: every op accounted for (ops_done = ops requested), zero
-   client-visible errors, zero stalled connections, zero server-side
-   protocol/op/fiber errors, and the backend accounting identities at
-   graceful shutdown (posted = applied + coalesced with pending = 0,
-   scans_requested = scans_combined + scans_performed).
-
-   Caveats, honestly: client and server share one host (the generator
-   perturbs what it measures), and loopback TCP has none of a real
-   network's latency distribution.  The sharded serving layer and the
-   multicore handle serve concurrently; the simulator substrates would
-   serialize every op under a global lock (see `serve-net`), so E21
-   sticks to the two concurrent backends for its matrix. *)
-let e21 ~quick () =
-  section "E21: network edge — TCP front-end under open-loop load";
-  let components = 8 and workers = 2 in
-  let ops = if quick then 1_200 else 4_000 in
-  let rate = 8_000. in
-  let t =
-    Workload.Table.create
-      ~header:
-        [
-          "backend"; "shards"; "conns"; "ops"; "throughput";
-          "scan p50/p999 us"; "write p999 us"; "clean";
-        ]
-  in
-  let cell ~backend_name ~shards ~conns =
-    let init = Array.init components (fun k -> (k + 1) * 10) in
-    let backend =
-      match backend_name with
-      | "serve" -> Edge.Backend.of_serve ~shards ~workers ~init ()
-      | name -> (
-        match Workload.Backend.find name with
-        | Ok b -> Workload.Edge_backends.of_registry ~workers ~init b
-        | Error msg -> failwith msg)
-    in
-    let server =
-      Edge.Server.start
-        ~config:{ Edge.Server.workers; backlog = 64; grace = 1.0 }
-        backend
-    in
-    let cfg =
-      {
-        Workload.Loadgen.default with
-        Workload.Loadgen.connections = conns;
-        clients = max 128 conns;
-        ops;
-        arrival = Workload.Loadgen.Open_loop rate;
-        domains = 2;
-      }
-    in
-    let m = Obs.Metrics.create () in
-    let rep =
-      Workload.Loadgen.run ~metrics:m ~port:(Edge.Server.port server)
-        ~components cfg
-    in
-    let identities = Edge.Server.shutdown server in
-    let st = Edge.Server.stats server in
-    let accounting_ok = match identities with Ok () -> true | Error _ -> false in
-    let pct kind p =
-      match Obs.Metrics.find_histogram m ("edge." ^ kind ^ ".latency_ns") with
-      | None -> 0
-      | Some h -> if Obs.Metrics.count h = 0 then 0 else Obs.Metrics.percentile h p
-    in
-    (* Per-cell percentiles come from the cell's own registry; the merge
-       below unions the histograms into the run-wide registry so the
-       edge/* SLO classes and BENCH.json's metrics section see them. *)
-    Obs.Metrics.merge ~into:Record.metrics m;
-    let clean =
-      rep.Workload.Loadgen.errors = 0
-      && rep.Workload.Loadgen.stalled_conns = 0
-      && st.Edge.Server.protocol_errors = 0
-      && st.Edge.Server.op_errors = 0
-      && st.Edge.Server.fiber_errors = 0
-      && rep.Workload.Loadgen.ops_done = ops
-      && accounting_ok
-    in
-    Record.row "E21"
-      [
-        ("backend", Obs.Json.Str backend_name);
-        ("label", Obs.Json.Str backend.Edge.Backend.label);
-        ("shards", Obs.Json.Int shards);
-        ("connections", Obs.Json.Int conns);
-        ("clients", Obs.Json.Int cfg.Workload.Loadgen.clients);
-        ("workers", Obs.Json.Int workers);
-        ("components", Obs.Json.Int components);
-        ("arrival", Obs.Json.Str "open-loop");
-        ("offered_per_sec", Obs.Json.Float rate);
-        ("zipf_theta", Obs.Json.Float cfg.Workload.Loadgen.zipf_theta);
-        ("ops_done", Obs.Json.Int rep.Workload.Loadgen.ops_done);
-        ("errors", Obs.Json.Int rep.Workload.Loadgen.errors);
-        ("stalled_connections", Obs.Json.Int rep.Workload.Loadgen.stalled_conns);
-        ("protocol_errors", Obs.Json.Int st.Edge.Server.protocol_errors);
-        ("op_errors", Obs.Json.Int st.Edge.Server.op_errors);
-        ("fiber_errors", Obs.Json.Int st.Edge.Server.fiber_errors);
-        ("throughput_per_sec", Obs.Json.Float rep.Workload.Loadgen.throughput_per_sec);
-        ("elapsed_ns", Obs.Json.Int rep.Workload.Loadgen.elapsed_ns);
-        ("scan_p50_ns", Obs.Json.Int (pct "scan" 50.));
-        ("scan_p99_ns", Obs.Json.Int (pct "scan" 99.));
-        ("scan_p999_ns", Obs.Json.Int (pct "scan" 99.9));
-        ("write_p999_ns", Obs.Json.Int (pct "write" 99.9));
-        ("post_p999_ns", Obs.Json.Int (pct "post" 99.9));
-        ("accounting_ok", Obs.Json.Bool accounting_ok);
-        ("clean", Obs.Json.Bool clean);
-      ];
-    Workload.Table.add_row t
-      [
-        backend_name;
-        (if backend_name = "serve" then string_of_int shards else "-");
-        string_of_int conns;
-        string_of_int rep.Workload.Loadgen.ops_done;
-        Printf.sprintf "%.0f/s" rep.Workload.Loadgen.throughput_per_sec;
-        Printf.sprintf "%.0f/%.0f"
-          (float_of_int (pct "scan" 50.) /. 1e3)
-          (float_of_int (pct "scan" 99.9) /. 1e3);
-        Printf.sprintf "%.0f" (float_of_int (pct "write" 99.9) /. 1e3);
-        Workload.Table.cell_bool clean;
-      ]
-  in
-  let shard_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let conn_counts = if quick then [ 4; 16 ] else [ 4; 16; 32 ] in
-  (* vs shard count at a fixed fan-in, then vs connection count at a
-     fixed shard count, then the multicore handle for a second backend. *)
-  List.iter (fun s -> cell ~backend_name:"serve" ~shards:s ~conns:16) shard_counts;
-  List.iter
-    (fun c -> if c <> 16 then cell ~backend_name:"serve" ~shards:2 ~conns:c)
-    conn_counts;
-  List.iter (fun c -> cell ~backend_name:"multicore" ~shards:0 ~conns:c) conn_counts;
-  Workload.Table.print t;
-  (* The edge/* SLO classes over the merged histograms: loose
-     order-of-magnitude wall-clock guards (like the serve class),
-     recorded with baseline-skipped observed fields. *)
-  let edge_budgets =
-    List.filter
-      (fun (b : Obs.Slo.budget) ->
-        String.length b.Obs.Slo.op > 5 && String.sub b.Obs.Slo.op 0 5 = "edge/")
-      Obs.Slo.default_budgets
-  in
-  let verdicts = Obs.Slo.check ~budgets:edge_budgets Record.metrics in
-  List.iter
-    (fun (v : Obs.Slo.verdict) ->
-      let b = v.Obs.Slo.budget in
-      Record.row "E21"
-        ([
-           ("kind", Obs.Json.Str "slo");
-           ("op", Obs.Json.Str b.Obs.Slo.op);
-           ("metric", Obs.Json.Str b.Obs.Slo.metric);
-           ("pct", Obs.Json.Str (Obs.Slo.pct_label b.Obs.Slo.pct));
-           ("limit", Obs.Json.Int b.Obs.Slo.limit);
-           ("unit", Obs.Json.Str b.Obs.Slo.unit_);
-         ]
-        @ (match v.Obs.Slo.observed with
-          | None -> []
-          | Some x -> [ ("observed_ns", Obs.Json.Int x) ])
-        @ [
-            ("samples_wall", Obs.Json.Int v.Obs.Slo.count);
-            ("ok_wall", Obs.Json.Str (if v.Obs.Slo.ok then "ok" else "violated"));
-          ]))
-    verdicts;
-  Format.printf "@.SLO budgets (p999 per edge op class):@.%a" Obs.Slo.pp verdicts;
-  print_endline
-    "(single host: the generator shares the machine with the server it \
-     measures; percentiles are loopback round trips, open loop, charged \
-     from scheduled arrival)"
-
-(* ------------------------------------------------------------------ *)
 (* E22                                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -2386,18 +2017,58 @@ let e22 ~quick () =
      shape only; the epoch counts and per-epoch accounting identities are \
      asserted exactly)"
 
+
+(* ------------------------------------------------------------------ *)
+(* The section table                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let flag_value name =
-  let v = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = name && i + 1 < Array.length Sys.argv then
-        v := Some Sys.argv.(i + 1))
-    Sys.argv;
-  !v
+(* Every section in run order: [--only NAME] runs one entry, the full
+   run walks them all. *)
+let sections ~quick ~jobs =
+  [
+    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
+    ("e6", e6 ~jobs); ("e6c", e6c); ("e9", e9); ("e10", e10);
+    ("e11", e11); ("e12", e12); ("e13", e13 ~jobs); ("e14", e14);
+    ("e15", e15); ("e16", e16 ~jobs); ("e17", e17); ("e18", e18 ~jobs);
+    ("e19", e19 ~quick); ("e20", e20 ~quick); ("e22", e22 ~quick);
+  ]
 
-let json_path () = flag_value "--json"
+(* --- the command line ---------------------------------------------- *)
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s\n" msg;
+      exit 2)
+    fmt
+
+let value_flags =
+  [ "--json"; "--baseline"; "--write-baseline"; "--compare"; "--jobs"; "--only" ]
+
+(* [--quick] and [--check] are switches; every other flag takes the next
+   argument as its value.  Anything else is an error, not a no-op. *)
+let parse_args () =
+  let quick = ref false and check = ref false and values = ref [] in
+  let rec go = function
+    | [] -> ()
+    | "--quick" :: rest ->
+      quick := true;
+      go rest
+    | "--check" :: rest ->
+      check := true;
+      go rest
+    | flag :: rest when List.mem flag value_flags -> (
+      match rest with
+      | v :: rest when not (String.starts_with ~prefix:"--" v) ->
+        values := (flag, v) :: !values;
+        go rest
+      | _ -> usage_error "%s needs a value" flag)
+    | arg :: _ ->
+      usage_error "unknown argument %s (flags: --quick --check %s)" arg
+        (String.concat " " value_flags)
+  in
+  go (List.tl (Array.to_list Sys.argv));
+  (!quick, !check, fun flag -> List.assoc_opt flag !values)
 
 (* --- the perf-regression gate ------------------------------------- *)
 
@@ -2439,108 +2110,53 @@ let gate ~bpath ~label doc =
   end
   else print_endline "OK: within baseline tolerance"
 
-let jobs_arg () =
-  let jobs = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--jobs" && i + 1 < Array.length Sys.argv then
-        jobs := int_of_string_opt Sys.argv.(i + 1))
-    Sys.argv;
-  match !jobs with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> Exec.Pool.default_jobs ()
-
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let check = Array.exists (( = ) "--check") Sys.argv in
-  let json = json_path () in
-  let baseline = flag_value "--baseline" in
-  let write_baseline = flag_value "--write-baseline" in
-  let compare_path = flag_value "--compare" in
-  let jobs = jobs_arg () in
-  (match compare_path with
+  let quick, check, value = parse_args () in
+  let jobs =
+    match value "--jobs" with
+    | None -> Exec.Pool.default_jobs ()
+    | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> n
+      | Some _ | None -> usage_error "--jobs needs an integer >= 1, not %s" s)
+  in
+  let bpath = Option.value (value "--baseline") ~default:"BENCH_BASELINE.json" in
+  (match value "--compare" with
   | Some cur ->
     (* Offline gate: diff an existing BENCH.json against the baseline
        without running any experiment (the CI regression-gate leg). *)
-    let bpath = Option.value baseline ~default:"BENCH_BASELINE.json" in
     gate ~bpath ~label:cur (read_doc cur);
     exit 0
   | None -> ());
+  let table = sections ~quick ~jobs in
+  let selected =
+    match value "--only" with
+    | None -> table
+    | Some _ when check || value "--write-baseline" <> None ->
+      usage_error
+        "--only runs one section; the baseline covers them all, so it \
+         cannot go with --check or --write-baseline"
+    | Some name -> (
+      match List.assoc_opt (String.lowercase_ascii name) table with
+      | Some run -> [ (name, run) ]
+      | None ->
+        usage_error "unknown --only %s (sections: %s)" name
+          (String.concat ", " (List.map fst table)))
+  in
   print_endline
     "composite registers: experiment harness (see EXPERIMENTS.md for the \
      paper-vs-measured record)";
-  (* --only e20: just the raw-speed campaign (the CI perf smoke — fast,
-     and its rows carry the exact counters the workflow asserts). *)
-  (match flag_value "--only" with
-  | Some "e20" | Some "E20" ->
-    e20 ~quick ();
-    (match json with
-    | None -> ()
-    | Some path ->
-      Record.write ~path;
-      Printf.printf "\nwrote machine-readable results to %s\n" path);
-    exit 0
-  | Some "e21" | Some "E21" ->
-    (* The network-edge matrix alone (the CI serve-net bench leg). *)
-    e21 ~quick ();
-    (match json with
-    | None -> ()
-    | Some path ->
-      Record.write ~path;
-      Printf.printf "\nwrote machine-readable results to %s\n" path);
-    exit 0
-  | Some "e22" | Some "E22" ->
-    (* The elastic-sharding cost matrix alone (the CI reshard bench leg). *)
-    e22 ~quick ();
-    (match json with
-    | None -> ()
-    | Some path ->
-      Record.write ~path;
-      Printf.printf "\nwrote machine-readable results to %s\n" path);
-    exit 0
-  | Some other ->
-    Printf.eprintf "bench: unknown --only %s (supported: e20, e21, e22)\n"
-      other;
-    exit 2
-  | None -> ());
-  e1 ();
-  e2 ();
-  e3 ();
-  e4 ();
-  e5 ();
-  e6 ~jobs ();
-  e6c ();
-  e9 ();
-  e10 ();
-  e11 ();
-  e12 ();
-  e13 ~jobs ();
-  e14 ();
-  e15 ();
-  e16 ~jobs ();
-  e17 ();
-  e18 ~jobs ();
-  e19 ~quick ();
-  e20 ~quick ();
-  e21 ~quick ();
-  e22 ~quick ();
-  if not quick then begin
-    e7 ();
-    e8 ()
-  end
-  else print_endline "\n(--quick: skipping wall-clock benches E7/E8)";
-  (match json with
+  List.iter (fun (_, run) -> run ()) selected;
+  (match value "--json" with
   | None -> ()
   | Some path ->
     Record.write ~path;
     Printf.printf "\nwrote machine-readable results to %s\n" path);
-  (match write_baseline with
+  (match value "--write-baseline" with
   | None -> ()
   | Some path ->
     Obs.Baseline.save path
       (Obs.Baseline.make ~tolerances:Obs.Baseline.default_tolerances
          (Record.doc ()));
     Printf.printf "\nwrote baseline (with tolerance specs) to %s\n" path);
-  if check then
-    let bpath = Option.value baseline ~default:"BENCH_BASELINE.json" in
-    gate ~bpath ~label:"this run" (Record.doc ())
+  if check then gate ~bpath ~label:"this run" (Record.doc ())

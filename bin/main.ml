@@ -1586,30 +1586,12 @@ let reshard_cmd =
 (* One process, real sockets: start the TCP edge on an ephemeral
    loopback port over the chosen backend, drive it with the open- or
    closed-loop generator, then shut down gracefully and grade what the
-   histograms and the accounting identities say.  This is experiment
-   E21's correctness/smoke side; the throughput x latency matrix lives
-   in the bench binary. *)
+   histograms and the accounting identities say.  perfbench's
+   edge-mixed workload measures the same edge with a spread. *)
 let serve_net_run backend_name shards reshard_to components workers conns
     clients ops rate write_ratio post_ratio zipf seed domains expect_clean =
   let components = max 1 components in
   let init = Array.init components (fun k -> (k + 1) * 10) in
-  let backend =
-    if backend_name = "serve" then
-      let max_shards = List.fold_left max shards reshard_to in
-      Edge.Backend.of_serve ~max_shards ~shards ~workers ~init ()
-    else
-      match Workload.Backend.find backend_name with
-      | Error msg ->
-        prerr_endline msg;
-        prerr_endline "(or \"serve\" for the sharded serving layer)";
-        exit 2
-      | Ok b -> Workload.Edge_backends.of_registry ~seed ~workers ~init b
-  in
-  let server =
-    Edge.Server.start
-      ~config:{ Edge.Server.workers; backlog = 64; grace = 1.0 }
-      backend
-  in
   let arrival =
     if rate > 0.0 then Workload.Loadgen.Open_loop rate
     else Workload.Loadgen.Closed_loop
@@ -1626,6 +1608,32 @@ let serve_net_run backend_name shards reshard_to components workers conns
       seed;
       domains;
     }
+  in
+  (* Out-of-range values are usage errors: the load config and the
+     backend are validated before the server starts. *)
+  let backend, server =
+    try
+      Workload.Loadgen.validate cfg;
+      let backend =
+        match backend_name with
+        | "serve" ->
+          let max_shards = List.fold_left max shards reshard_to in
+          Edge.Backend.of_serve ~max_shards ~shards ~workers ~init ()
+        | "multicore" ->
+          Edge.Backend.of_handle ~label:"multicore" ~workers
+            (Composite.Multicore.afek ~init)
+        | other ->
+          Printf.eprintf
+            "serve-net: unknown backend %S (serve or multicore)\n" other;
+          exit 2
+      in
+      ( backend,
+        Edge.Server.start
+          ~config:{ Edge.Server.workers; backlog = 64; grace = 1.0 }
+          backend )
+    with Invalid_argument msg ->
+      Printf.eprintf "serve-net: %s\n" msg;
+      exit 2
   in
   let m = Obs.Metrics.create () in
   Printf.printf
@@ -1769,9 +1777,8 @@ let serve_net_cmd =
       & info [ "backend" ] ~docv:"NAME"
           ~doc:
             "What the edge serves: $(b,serve) (the sharded serving layer on \
-             real domains), or a registry backend — $(b,multicore) (Afek \
-             handle on real domains), $(b,shm)/$(b,net)/$(b,byz) (simulator \
-             substrates, each op a single-process run under a global lock).")
+             real domains) or $(b,multicore) (an Afek handle on real \
+             domains).")
   in
   let shards =
     Arg.(
@@ -1857,8 +1864,7 @@ let serve_net_cmd =
           frames, effect-based accept loops on a worker-domain pool) and \
           drive it with the open-/closed-loop load generator in the same \
           process: throughput, latency percentiles, SLO verdicts and the \
-          accounting identities at graceful shutdown (experiment E21's smoke \
-          side).")
+          accounting identities at graceful shutdown.")
     Term.(
       const serve_net_run $ backend $ shards $ reshard_to $ components
       $ workers $ conns $ clients $ ops $ rate $ write_ratio $ post_ratio

@@ -22,9 +22,6 @@ let anderson ~readers ~init =
 
 let afek ~init = Afek.create (padded_memory ()) ~bits_per_value:64 ~init
 
-let unsafe_collect ~init =
-  Double_collect.create_unsafe (padded_memory ()) ~bits_per_value:64 ~init
-
 let multi_writer ~components ~writers_per_component ~readers ~init =
   let factory =
     {

@@ -6,10 +6,10 @@
     algorithm code (written against {!Csim.Memory.t}) runs unmodified
     and wait-free on parallel domains.
 
-    This module also provides the lock-based snapshot used as the
-    blocking comparator of experiment E7 and a small stress harness that
-    runs writer and reader domains and returns the recorded history for
-    offline checking. *)
+    This module also provides a lock-based snapshot, the blocking
+    comparator of the wait-free constructions, and a small stress
+    harness that runs writer and reader domains and returns the recorded
+    history for offline checking. *)
 
 val padded_memory : unit -> Csim.Memory.t
 (** {!Csim.Memory.atomic} with every register on its own cache line
@@ -18,7 +18,6 @@ val padded_memory : unit -> Csim.Memory.t
 
 val anderson : readers:int -> init:'a array -> 'a Snapshot.t
 val afek : init:'a array -> 'a Snapshot.t
-val unsafe_collect : init:'a array -> 'a Snapshot.t
 
 val multi_writer :
   components:int -> writers_per_component:int -> readers:int ->
@@ -29,7 +28,7 @@ val multi_writer :
 
 val locked : readers:int -> init:'a array -> 'a Snapshot.t
 (** Mutex-protected array: scans and updates serialize.  Linearizable
-    but blocking — the E7 baseline the wait-free constructions are
+    but blocking — the baseline the wait-free constructions are
     compared against.  The mutex supports any number of readers, but
     the handle reports the [readers] the caller declares (rather than a
     [max_int] sentinel) so code sizing per-reader state from

@@ -19,8 +19,7 @@ let check_component ~label ~components component =
       (Printf.sprintf "%s: component %d out of range 0..%d" label component
          (components - 1))
 
-let of_handle ~label ~workers ?(on_shutdown = fun () -> ())
-    (h : int Composite.Snapshot.t) =
+let of_handle ~label ~workers (h : int Composite.Snapshot.t) =
   if workers < 1 then invalid_arg "Edge.Backend.of_handle: workers must be >= 1";
   if workers > h.Composite.Snapshot.readers then
     invalid_arg
@@ -50,55 +49,7 @@ let of_handle ~label ~workers ?(on_shutdown = fun () -> ())
     write;
     post = (fun ~worker ~component v -> ignore (write ~worker ~component v : int));
     scan;
-    shutdown = on_shutdown;
-    identities_ok = (fun () -> Ok ());
-    counters = (fun () -> []);
-  }
-
-let solo ~label ~run ?(on_shutdown = fun () -> ())
-    (h : int Composite.Snapshot.t) =
-  let components = h.Composite.Snapshot.components in
-  let lock = Mutex.create () in
-  (* One op at a time: the handle's ops exist only inside a simulator
-     coroutine, so each is its own single-process run. *)
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        let out = ref None in
-        run (fun () -> out := Some (f ()));
-        match !out with
-        | Some v -> v
-        | None -> invalid_arg (label ^ ": simulator run dropped the op"))
-  in
-  let write ~worker:_ ~component v =
-    check_component ~label ~components component;
-    locked (fun () -> h.Composite.Snapshot.update ~writer:component v)
-  in
-  let scan ~worker:_ =
-    locked (fun () -> items_to_pairs (h.Composite.Snapshot.scan_items ~reader:0))
-  in
-  (* A reconfigure capability, like every other op, only runs inside a
-     simulator coroutine — route it through the same lock. *)
-  let caps =
-    let hc = h.Composite.Snapshot.caps in
-    {
-      hc with
-      Composite.Composite_intf.reconfigure =
-        Option.map
-          (fun f ~shards -> locked (fun () -> f ~shards))
-          hc.Composite.Composite_intf.reconfigure;
-    }
-  in
-  {
-    label;
-    components;
-    caps;
-    write;
-    post = (fun ~worker ~component v -> ignore (write ~worker ~component v : int));
-    scan;
-    shutdown = on_shutdown;
+    shutdown = (fun () -> ());
     identities_ok = (fun () -> Ok ());
     counters = (fun () -> []);
   }

@@ -9,13 +9,7 @@
     module closes the gap: writes to one component are serialized by a
     per-component mutex (the edge {e is} the component's single
     writer), and the scan reader identity is the worker index, so each
-    worker is one long-lived reader with its own validated cache.
-
-    Simulator-backed handles (the [shm]/[net]/[byz] registry backends)
-    add one more constraint: their ops only run inside a simulator
-    coroutine.  {!solo} wraps each op in a single-process simulator run
-    under one global lock — semantically a linearizable (fully
-    serialized) service, measured honestly as such in E21. *)
+    worker is one long-lived reader with its own validated cache. *)
 
 type t = {
   label : string;
@@ -23,9 +17,7 @@ type t = {
   caps : Composite.Composite_intf.caps;
       (** The served object's capability record.  [reconfigure] present
           means the edge can reshard the service {e while serving} (the
-          wire [Reshard] request); for {!solo} backends the capability
-          is re-wrapped so it runs under the same global lock as every
-          other op. *)
+          wire [Reshard] request). *)
   write : worker:int -> component:int -> int -> int;
       (** synchronous write; returns the auxiliary id *)
   post : worker:int -> component:int -> int -> unit;
@@ -46,25 +38,14 @@ type t = {
 val of_handle :
   label:string ->
   workers:int ->
-  ?on_shutdown:(unit -> unit) ->
   int Composite.Snapshot.t ->
   t
 (** Serve a real-domain-safe handle (e.g. {!Composite.Multicore}).
     Scans map [worker] to reader [worker mod readers]; writes take the
-    component's mutex.  Raises [Invalid_argument] if the handle serves
-    fewer readers than [workers] would need ([workers] must be at most
+    component's mutex.  Raises [Invalid_argument] if [workers < 1] or
+    if the handle serves fewer readers than [workers] would need ([workers] must be at most
     the handle's reader count, so worker-to-reader identities stay
     disjoint). *)
-
-val solo :
-  label:string ->
-  run:((unit -> unit) -> unit) ->
-  ?on_shutdown:(unit -> unit) ->
-  int Composite.Snapshot.t ->
-  t
-(** Serve a simulator-backed handle: every op body is passed to [run]
-    (typically [Sim.run_solo env] or a one-process [Net.Sim.run]) under
-    one global mutex. *)
 
 val of_serve :
   ?outer:Serve.outer_impl ->

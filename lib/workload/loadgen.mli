@@ -48,6 +48,9 @@ val default : config
 (** 16 connections, 256 clients, 2000 ops, open loop at 20k ops/s,
     30% writes (half of them posts), theta 0.9, seed 1, 2 domains. *)
 
+val validate : config -> unit
+(** Raises [Invalid_argument] naming the first out-of-range field. *)
+
 type op_kind = Op_write | Op_post | Op_scan
 
 type planned = {

@@ -135,29 +135,26 @@ let init4 = [| 10; 20; 30; 40 |]
 let test_roundtrip_serve () =
   roundtrip_on (Edge.Backend.of_serve ~shards:2 ~workers:2 ~init:init4 ()) ()
 
-let test_roundtrip_multicore () =
-  roundtrip_on
-    (Workload.Edge_backends.of_registry ~workers:2 ~init:init4
-       Workload.Backend.multicore)
-    ()
+let multicore4 () =
+  Edge.Backend.of_handle ~label:"multicore" ~workers:2
+    (Composite.Multicore.afek ~init:init4)
 
-let test_roundtrip_shm () =
-  roundtrip_on
-    (Workload.Edge_backends.of_registry ~workers:2 ~init:init4
-       Workload.Backend.shm)
-    ()
+let test_roundtrip_multicore () = roundtrip_on (multicore4 ()) ()
 
-let test_roundtrip_net () =
-  roundtrip_on
-    (Workload.Edge_backends.of_registry ~workers:2 ~init:init4
-       (Workload.Backend.net ()))
-    ()
-
-let test_roundtrip_byz () =
-  roundtrip_on
-    (Workload.Edge_backends.of_registry ~workers:2 ~init:init4
-       (Workload.Backend.byz ()))
-    ()
+(* [workers] must be between 1 and the handle's reader count, so the
+   worker-to-reader identities stay disjoint. *)
+let test_of_handle_worker_bounds () =
+  let refuses what make =
+    match make () with
+    | (_ : Edge.Backend.t) -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "workers = 0" (fun () ->
+      Edge.Backend.of_handle ~label:"afek" ~workers:0
+        (Composite.Multicore.afek ~init:init4));
+  refuses "2 workers over 1 reader" (fun () ->
+      Edge.Backend.of_handle ~label:"locked" ~workers:2
+        (Composite.Multicore.locked ~readers:1 ~init:init4))
 
 (* ---------------------------------------------------------------- *)
 (* Online resharding over the wire                                    *)
@@ -209,10 +206,7 @@ let test_reshard_over_wire () =
           check int "reshards counted" 3 st.Edge.Server.reshards))
 
 let test_reshard_not_supported () =
-  with_server
-    (Workload.Edge_backends.of_registry ~workers:2 ~init:init4
-       Workload.Backend.multicore)
-    (fun srv ->
+  with_server (multicore4 ()) (fun srv ->
       let c = Edge.Client.connect ~port:(Edge.Server.port srv) () in
       Fun.protect
         ~finally:(fun () -> Edge.Client.close c)
@@ -402,11 +396,7 @@ let test_loadgen_slo_plumbing () =
         (st.Edge.Server.writes + st.Edge.Server.posts + st.Edge.Server.scans))
 
 let test_loadgen_closed_loop () =
-  let backend =
-    Workload.Edge_backends.of_registry ~workers:2 ~init:init4
-      Workload.Backend.multicore
-  in
-  with_server backend (fun srv ->
+  with_server (multicore4 ()) (fun srv ->
       let cfg =
         {
           Workload.Loadgen.default with
@@ -465,9 +455,8 @@ let () =
         [
           Alcotest.test_case "serve backend" `Quick test_roundtrip_serve;
           Alcotest.test_case "multicore backend" `Quick test_roundtrip_multicore;
-          Alcotest.test_case "shm backend" `Quick test_roundtrip_shm;
-          Alcotest.test_case "net backend" `Quick test_roundtrip_net;
-          Alcotest.test_case "byz backend" `Quick test_roundtrip_byz;
+          Alcotest.test_case "of_handle worker bounds" `Quick
+            test_of_handle_worker_bounds;
         ] );
       ( "reshard",
         [
