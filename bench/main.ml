@@ -1602,17 +1602,12 @@ let e20 ~quick () =
     let scans_per_ms =
       float_of_int st.Serve.scans_requested /. elapsed /. 1e3
     in
-    (scans_per_ms, !invalidations, st)
+    (scans_per_ms, !invalidations, st, Serve.check_identities srv = Ok ())
   in
-  let off_per_ms, off_inv, off_st = scan_leg ~combine:false in
-  let on_per_ms, on_inv, on_st = scan_leg ~combine:true in
-  let identity st =
-    st.Serve.scans_requested
-    = st.Serve.scans_combined + st.Serve.scans_performed
-    && st.Serve.full_scans = st.Serve.scans_performed
-  in
+  let off_per_ms, off_inv, off_st, off_ok = scan_leg ~combine:false in
+  let on_per_ms, on_inv, on_st, on_ok = scan_leg ~combine:true in
   let scan_speedup = if off_per_ms = 0. then 0. else on_per_ms /. off_per_ms in
-  let leg_row label combine per_ms invalidations st speedup =
+  let leg_row label combine per_ms invalidations st accounting_ok speedup =
     Record.row "E20"
       [
         ("kind", Obs.Json.Str "scan_sharing");
@@ -1627,11 +1622,11 @@ let e20 ~quick () =
         ("scans_combined", Obs.Json.Int st.Serve.scans_combined);
         ("scans_performed", Obs.Json.Int st.Serve.scans_performed);
         ("full_scans", Obs.Json.Int st.Serve.full_scans);
-        ("accounting_ok", Obs.Json.Bool (identity st));
+        ("accounting_ok", Obs.Json.Bool accounting_ok);
       ]
   in
-  leg_row "combine=off" false off_per_ms off_inv off_st 1.;
-  leg_row "combine=on" true on_per_ms on_inv on_st scan_speedup;
+  leg_row "combine=off" false off_per_ms off_inv off_st off_ok 1.;
+  leg_row "combine=on" true on_per_ms on_inv on_st on_ok scan_speedup;
   Workload.Table.add_row t
     [
       "scan-sharing (8 readers)";
@@ -1833,31 +1828,14 @@ let e20 ~quick () =
    epoch count (one switch per dip cell, two per migration cell), the
    per-epoch accounting identities at quiescence, and [clean].  The
    correctness side of E22 — linearizability across the epoch
-   boundary, mutant detection, ddmin replays — is the `reshard`
-   subcommand of the main binary, exercised by the CI smoke legs. *)
+   boundary, mutant detection, ddmin replays — is `serve --step` in
+   the main binary, exercised by the CI smoke legs. *)
 let e22 ~quick () =
   section "E22: elastic sharding — reshard dip/recovery and migration cost";
   let components = 8 in
   let writers = 4 in
   let readers = 2 in
   let init = Array.init components (fun k -> (k + 1) * 10) in
-  (* The per-epoch identities of Serve.epoch_stats, closed exactly at
-     quiescence (same set Reshard_campaign asserts). *)
-  let epochs_ok srv =
-    let eps = Serve.epoch_stats srv in
-    let last = eps.(Array.length eps - 1) in
-    Array.for_all
-      (fun (e : Serve.epoch_stats) ->
-        e.Serve.e_posted + e.Serve.e_carried_in
-        = e.Serve.e_applied + e.Serve.e_coalesced + e.Serve.e_carried_out
-        && e.Serve.e_scans_requested + e.Serve.e_inflight_in
-           = e.Serve.e_scans_combined + e.Serve.e_scans_performed
-             + e.Serve.e_inflight_out)
-      eps
-    && last.Serve.e_carried_out = 0
-    && last.Serve.e_inflight_out = 0
-    && (Serve.stats srv).Serve.pending = 0
-  in
   (* One closed-loop stint: [writers] domains each sync-writing its own
      components (SWMR preserved: writer domain w owns components
      congruent to w), [readers] domains scanning, all joined.  Returns
@@ -1927,7 +1905,7 @@ let e22 ~quick () =
     let after = stint srv ~per_writer ~per_reader in
     Serve.shutdown srv;
     let epoch = Serve.epoch srv in
-    let accounting_ok = epochs_ok srv in
+    let accounting_ok = Serve.check_identities srv = Ok () in
     let clean = accounting_ok && epoch = 1 in
     let dip = during /. before and recovery = after /. before in
     Record.row "E22"
@@ -1987,7 +1965,7 @@ let e22 ~quick () =
     let shrink_ns = time (fun () -> Serve.reshard srv ~shards:s) in
     Serve.shutdown srv;
     let epoch = Serve.epoch srv in
-    let accounting_ok = epochs_ok srv in
+    let accounting_ok = Serve.check_identities srv = Ok () in
     let clean = accounting_ok && epoch = 2 in
     Record.row "E22"
       [

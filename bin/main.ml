@@ -58,6 +58,29 @@ let schedules_term ~default ~doc =
           | None -> Ok (Option.value c ~default))
       $ canonical $ retired)
 
+(* The campaign shape and the expectation flags, checked before any
+   work by [serve], [chaos], [net] and [byz]: a zero count would let
+   --expect-clean pass vacuously or die inside the library, and the
+   two expectations cannot both hold. *)
+let check_campaign_flags ~components ~readers ~writes ~scans ~schedules
+    ~expect_clean ~expect_flagged =
+  let usage msg =
+    prerr_endline msg;
+    exit 2
+  in
+  List.iter
+    (fun (name, v, least) ->
+      if v < least then usage (Printf.sprintf "%s = %d, must be >= %d" name v least))
+    [
+      ("-c", components, 1);
+      ("-r", readers, 1);
+      ("--writes", writes, 0);
+      ("--scans", scans, 0);
+      ("--schedules", schedules, 1);
+    ];
+  if expect_clean && expect_flagged then
+    usage "--expect-clean and --expect-flagged are mutually exclusive"
+
 let pool_trace_arg =
   Arg.(
     value
@@ -969,6 +992,9 @@ module Fault_cmd (F : Workload.Fault_campaign.S) = struct
       match line with
       | Some line -> replay line
       | None ->
+        check_campaign_flags ~components:s.components ~readers:s.readers
+          ~writes:s.writes ~scans:s.scans ~schedules:s.seeds ~expect_clean
+          ~expect_flagged:s.expect_flagged;
         campaign ~title s profile_names jobs pool_trace expect_clean (plan s)
     in
     Cmd.v (Cmd.info name ~doc)
@@ -1252,7 +1278,7 @@ let byz_cmd =
     Term.(const plan $ faults $ tolerance $ unprotected)
 
 (* ------------------------------------------------------------------ *)
-(* serve (E17's correctness side)                                       *)
+(* serve (E17's and E22's correctness side)                            *)
 (* ------------------------------------------------------------------ *)
 
 let outer_conv =
@@ -1267,9 +1293,11 @@ let outer_conv =
   let print fmt o = Format.pp_print_string fmt (Serve.outer_impl_name o) in
   Arg.conv (parse, print)
 
-let serve_run outer shard_counts components readers writes scans schedules
-    jobs pool_trace no_validate no_cache no_combine expect_clean expect_flagged
-    =
+let serve_run outer shard_counts steps components readers writes scans
+    schedules jobs pool_trace no_validate no_cache no_combine no_migrate
+    minimize_budget expect_clean expect_flagged =
+  check_campaign_flags ~components ~readers ~writes ~scans ~schedules
+    ~expect_clean ~expect_flagged;
   let shard_counts = if shard_counts = [] then [ 1; 2; 4 ] else shard_counts in
   let shard_counts =
     List.sort_uniq compare
@@ -1281,87 +1309,104 @@ let serve_run outer shard_counts components readers writes scans schedules
   end;
   let validate = not no_validate
   and cache = not no_cache
-  and combine = not no_combine in
+  and combine = not no_combine
+  and migrate = not no_migrate in
+  let pp_steps s =
+    if s = [] then "(none)" else String.concat "->" (List.map string_of_int s)
+  in
   (* No [jobs] in the banner: clean campaign output is bit-identical at
      every job count, and the CI legs diff it. *)
   Printf.printf
     "serve campaign: outer=%s C=%d R=%d ops/proc=%d/%d runs/shard-count=%d \
-     validate=%b cache=%b combine=%b\n\n\
+     validate=%b cache=%b combine=%b%s\n\n\
      %!"
     (Serve.outer_impl_name outer)
-    components readers writes scans schedules validate cache combine;
+    components readers writes scans schedules validate cache combine
+    (if steps = [] then ""
+     else Printf.sprintf " steps=%s migrate=%b" (pp_steps steps) migrate);
   let t =
     Workload.Table.create
       ~header:
         [
-          "S"; "runs"; "ops"; "flagged"; "oracle fails"; "acct fails";
-          "publishes"; "coalesced"; "combined"; "hit%"; "stale";
+          "S"; "runs"; "ops"; "epochs"; "flagged"; "oracle fails";
+          "acct fails"; "publishes"; "coalesced"; "combined"; "hit%"; "stale";
         ]
   in
-  let total_flagged = ref 0 and total_generic = ref 0 in
-  let total_accounting = ref 0 in
-  let example = ref None in
-  with_pool_trace pool_trace (fun pool ->
-      List.iter
-        (fun shards ->
-          let m = Obs.Metrics.create () in
-          let cfg =
-            {
-              Workload.Serve_campaign.outer;
-              shards;
-              components;
-              readers;
-              writer_ops = writes;
-              reader_ops = scans;
-              runs = schedules;
-              validate;
-              cache;
-              combine;
-              check_generic = components * (writes + scans) <= 40;
-            }
-          in
-          let r = Workload.Serve_campaign.run ~jobs ~pool ~metrics:m cfg in
-          total_flagged := !total_flagged + r.flagged_runs;
-          total_generic := !total_generic + r.generic_failures;
-          total_accounting := !total_accounting + r.accounting_failures;
-          if !example = None then example := r.example;
-          let c name =
-            Obs.Metrics.counter_value (Obs.Metrics.counter m name)
-          in
-          (* Under --no-validate the blind reuses are counted by the
-             campaign's mutant wrapper, not by the service. *)
-          let hits = c "serve.cache.hit" + c "serve_campaign.blind_hits" in
-          let misses = c "serve.cache.miss" in
-          let stale = c "serve.cache.stale" in
-          let cached_scans = hits + misses + stale in
-          Workload.Table.add_row t
-            [
-              string_of_int shards;
-              string_of_int r.runs;
-              string_of_int r.ops_checked;
-              string_of_int r.flagged_runs;
-              string_of_int r.generic_failures;
-              string_of_int r.accounting_failures;
-              string_of_int (c "serve.publishes");
-              string_of_int (c "serve.coalesced");
-              string_of_int (c "serve.scan.combined");
-              (if cached_scans = 0 then "-"
-               else
-                 Printf.sprintf "%.0f" (100. *. float hits /. float cached_scans));
-              string_of_int stale;
-            ])
-        shard_counts);
+  let results =
+    with_pool_trace pool_trace (fun pool ->
+        List.map
+          (fun shards ->
+            let m = Obs.Metrics.create () in
+            let cfg =
+              {
+                Workload.Serve_campaign.outer;
+                shards;
+                schedule = steps;
+                components;
+                readers;
+                writer_ops = writes;
+                reader_ops = scans;
+                runs = schedules;
+                validate;
+                cache;
+                combine;
+                migrate;
+                check_generic = components * (writes + scans) <= 40;
+                minimize_budget;
+              }
+            in
+            let r = Workload.Serve_campaign.run ~jobs ~pool ~metrics:m cfg in
+            let c name =
+              Obs.Metrics.counter_value (Obs.Metrics.counter m name)
+            in
+            (* Under --no-validate the blind reuses are counted by the
+               campaign's mutant wrapper, not by the service. *)
+            let hits = c "serve.cache.hit" + c "serve_campaign.blind_hits" in
+            let stale = c "serve.cache.stale" in
+            let cached_scans = hits + c "serve.cache.miss" + stale in
+            Workload.Table.add_row t
+              (List.map string_of_int
+                 [
+                   shards; r.runs; r.ops_checked; r.epochs_completed;
+                   r.flagged_runs; r.generic_failures; r.accounting_failures;
+                   c "serve.publishes"; c "serve.coalesced";
+                   c "serve.scan.combined";
+                 ]
+              @ [
+                  (if cached_scans = 0 then "-"
+                   else
+                     Printf.sprintf "%.0f"
+                       (100. *. float hits /. float cached_scans));
+                  string_of_int stale;
+                ]);
+            (shards, r))
+          shard_counts)
+  in
   Workload.Table.print t;
-  (match !example with
+  List.iter
+    (fun (shards, (r : Workload.Serve_campaign.result)) ->
+      Option.iter
+        (fun s ->
+          Printf.printf "minimized schedule: %s (from S=%d)\n" (pp_steps s)
+            shards)
+        r.minimized)
+    results;
+  (match List.find_map (fun (_, r) -> r.Workload.Serve_campaign.example) results with
   | Some ex -> Format.printf "@.example violation:@.%s@." ex
   | None -> ());
-  if
-    expect_clean
-    && (!total_flagged > 0 || !total_generic > 0 || !total_accounting > 0)
-  then exit 1;
-  if expect_flagged && !total_flagged = 0 then exit 1
+  let failures =
+    List.fold_left
+      (fun n (_, r) -> n + Workload.Serve_campaign.failures r)
+      0 results
+  in
+  if expect_clean && failures > 0 then exit 1;
+  if expect_flagged && failures = 0 then exit 1
 
 let serve_cmd =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let int_opt names default doc =
+    Arg.(value & opt int default & info names ~doc)
+  in
   let outer =
     Arg.(
       value
@@ -1374,141 +1419,8 @@ let serve_cmd =
       value & opt_all int []
       & info [ "shards" ] ~docv:"S"
           ~doc:
-            "Shard count to stress (repeatable, forming a matrix; default 1, \
-             2, 4; counts above C are dropped).")
-  in
-  let components =
-    Arg.(value & opt int 4 & info [ "c"; "components" ] ~doc:"Components.")
-  in
-  let readers = Arg.(value & opt int 2 & info [ "r"; "readers" ] ~doc:"Readers.") in
-  let writes =
-    Arg.(
-      value & opt int 4
-      & info [ "writes" ] ~doc:"Synchronous updates per writer domain.")
-  in
-  let scans =
-    Arg.(value & opt int 4 & info [ "scans" ] ~doc:"Scans per reader domain.")
-  in
-  let schedules =
-    Arg.(
-      value & opt int 5
-      & info [ "schedules" ]
-          ~doc:"Service lifetimes to stress per shard count.")
-  in
-  let no_validate =
-    Arg.(
-      value & flag
-      & info [ "no-validate" ]
-          ~doc:
-            "Disable cache freshness validation (the broken mutant readers \
-             reuse caches blindly; the checkers must flag it).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable read caching (every scan is full).")
-  in
-  let no_combine =
-    Arg.(
-      value & flag
-      & info [ "no-combine" ]
-          ~doc:
-            "Disable scan-sharing (every cache miss pays its own outer scan; \
-             the pre-combining differential baseline).")
-  in
-  let expect_clean =
-    Arg.(
-      value & flag
-      & info [ "expect-clean" ]
-          ~doc:"Exit nonzero if any run is flagged by any checker.")
-  in
-  let expect_flagged =
-    Arg.(
-      value & flag
-      & info [ "expect-flagged" ]
-          ~doc:"Exit nonzero if no run is flagged (negative-control mode).")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Stress the sharded serving layer (write-coalescing mailboxes, \
-          validated read caching) on real domains across a shard-count \
-          matrix, checking every recorded history with the Shrinking and \
-          Wing-Gong checkers (experiment E17's correctness side).")
-    Term.(
-      const serve_run $ outer $ shard_counts $ components $ readers $ writes
-      $ scans $ schedules $ jobs_arg $ pool_trace_arg $ no_validate $ no_cache
-      $ no_combine $ expect_clean $ expect_flagged)
-
-(* ------------------------------------------------------------------ *)
-(* serve-net                                                            *)
-(* ------------------------------------------------------------------ *)
-(* reshard (elastic sharding under load)                                *)
-(* ------------------------------------------------------------------ *)
-
-let reshard_run outer shards steps components readers writes scans schedules
-    jobs pool_trace mutant minimize_budget expect_clean expect_flagged =
-  if expect_clean && expect_flagged then begin
-    prerr_endline "--expect-clean and --expect-flagged are mutually exclusive";
-    exit 2
-  end;
-  let steps = if steps = [] then [ 4; 1; 3 ] else steps in
-  let cfg =
-    {
-      Workload.Reshard_campaign.outer;
-      shards;
-      schedule = steps;
-      components;
-      readers;
-      writer_ops = writes;
-      reader_ops = scans;
-      runs = schedules;
-      migrate = not mutant;
-      check_generic = components * (writes + scans) <= 40;
-      minimize_budget;
-    }
-  in
-  Printf.printf
-    "reshard campaign: outer=%s S=%d steps=%s C=%d R=%d ops/proc=%d/%d \
-     runs=%d migrate=%b\n\n\
-     %!"
-    (Serve.outer_impl_name outer)
-    shards
-    (String.concat "->" (List.map string_of_int steps))
-    components readers writes scans schedules (not mutant);
-  let m = Obs.Metrics.create () in
-  let r =
-    with_pool_trace pool_trace (fun pool ->
-        Workload.Reshard_campaign.run ~jobs ~pool ~metrics:m cfg)
-  in
-  Format.printf "%a@." Workload.Reshard_campaign.pp_result r;
-  let c name = Obs.Metrics.counter_value (Obs.Metrics.counter m name) in
-  Printf.printf "reshards: %d, publishes: %d, coalesced: %d (posts pending at \
-                 a switch are carried into the next epoch)\n"
-    (c "serve.reshards") (c "serve.publishes") (c "serve.coalesced");
-  (match r.Workload.Reshard_campaign.example with
-  | Some ex -> Format.printf "@.example violation:@.%s@." ex
-  | None -> ());
-  let failures =
-    r.Workload.Reshard_campaign.flagged_runs
-    + r.Workload.Reshard_campaign.generic_failures
-    + r.Workload.Reshard_campaign.accounting_failures
-  in
-  if expect_clean && failures > 0 then exit 1;
-  if expect_flagged && failures = 0 then exit 1
-
-let reshard_cmd =
-  let outer =
-    Arg.(
-      value
-      & opt outer_conv Serve.Outer_afek
-      & info [ "impl" ] ~docv:"anderson|afek"
-          ~doc:"Construction for the outer register of shard views.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ] ~docv:"S" ~doc:"Initial shard count.")
+            "Initial shard count to stress (repeatable, forming a matrix; \
+             default 1, 2, 4; counts above C are dropped).")
   in
   let steps =
     Arg.(
@@ -1516,71 +1428,50 @@ let reshard_cmd =
       & info [ "step" ] ~docv:"S"
           ~doc:
             "Reshard step: target shard count, repeatable, walked in order \
-             by the reconfigurer while load runs (default 4, 1, 3; clamped \
-             to 1..C).")
-  in
-  let components =
-    Arg.(value & opt int 4 & info [ "c"; "components" ] ~doc:"Components.")
-  in
-  let readers = Arg.(value & opt int 2 & info [ "r"; "readers" ] ~doc:"Readers.") in
-  let writes =
-    Arg.(
-      value & opt int 4
-      & info [ "writes" ] ~doc:"Synchronous updates per writer domain.")
-  in
-  let scans =
-    Arg.(value & opt int 4 & info [ "scans" ] ~doc:"Scans per reader domain.")
-  in
-  let schedules =
-    Arg.(
-      value & opt int 5
-      & info [ "schedules" ] ~doc:"Service lifetimes to stress.")
-  in
-  let mutant =
-    Arg.(
-      value & flag
-      & info [ "mutant" ]
-          ~doc:
-            "Publish-before-migrate mutant: each reshard publishes the new \
-             shard map with the previous epoch's boundary snapshot, so \
-             acknowledged writes vanish at the switch (negative control; \
-             combine with --expect-flagged).")
-  in
-  let minimize_budget =
-    Arg.(
-      value & opt int 40
-      & info [ "minimize-budget" ]
-          ~doc:
-            "Lifetimes the reshard-schedule minimizer may spend shrinking a \
-             failing step list (0 disables).")
-  in
-  let expect_clean =
-    Arg.(
-      value & flag
-      & info [ "expect-clean" ]
-          ~doc:
-            "Exit nonzero if any run is flagged by any checker or breaks \
-             the per-epoch accounting identities.")
-  in
-  let expect_flagged =
-    Arg.(
-      value & flag
-      & info [ "expect-flagged" ]
-          ~doc:"Exit nonzero if no run fails (negative-control mode).")
+             by a reconfigurer domain while the load runs (clamped to \
+             1..C; default none, a static service).")
   in
   Cmd.v
-    (Cmd.info "reshard"
+    (Cmd.info "serve"
        ~doc:
-         "Stress live resharding: writer/reader domains hammer the sharded \
-          serving layer while a reconfigurer walks a schedule of shard \
-          counts through online epoch switches; every history is checked by \
-          the Shrinking and Wing-Gong checkers and the per-epoch counter \
-          identities must close exactly (experiment E22's correctness side).")
+         "Stress the sharded serving layer (write-coalescing mailboxes, \
+          validated read caching, scan-sharing) on real domains across a \
+          shard-count matrix, optionally resharding it live through a \
+          schedule of --step shard counts; every recorded history is \
+          checked with the Shrinking and Wing-Gong checkers and the \
+          service's counter identities must close exactly, per epoch \
+          (experiments E17 and E22, correctness side).")
     Term.(
-      const reshard_run $ outer $ shards $ steps $ components $ readers
-      $ writes $ scans $ schedules $ jobs_arg $ pool_trace_arg $ mutant
-      $ minimize_budget $ expect_clean $ expect_flagged)
+      const serve_run $ outer $ shard_counts $ steps
+      $ int_opt [ "c"; "components" ] 4 "Components."
+      $ int_opt [ "r"; "readers" ] 2 "Readers."
+      $ int_opt [ "writes" ] 4 "Synchronous updates per writer domain."
+      $ int_opt [ "scans" ] 4 "Scans per reader domain."
+      $ int_opt [ "schedules" ] 5 "Service lifetimes to stress per shard count."
+      $ jobs_arg $ pool_trace_arg
+      $ flag "no-validate"
+          "Disable cache freshness validation (the broken mutant readers \
+           reuse caches blindly; the checkers must flag it)."
+      $ flag "no-cache" "Disable read caching (every scan is full)."
+      $ flag "no-combine"
+          "Disable scan-sharing (every cache miss pays its own outer scan; \
+           the pre-combining differential baseline)."
+      $ flag "no-migrate"
+          "Publish-before-migrate mutant: each reshard publishes the new \
+           shard map with the previous epoch's boundary snapshot, so \
+           acknowledged writes vanish at the switch (negative control; \
+           needs --step, combine with --expect-flagged)."
+      $ int_opt [ "minimize-budget" ] 40
+          "Lifetimes the reshard-schedule minimizer may spend shrinking a \
+           failing step list (0 disables)."
+      $ flag "expect-clean"
+          "Exit nonzero if any run is flagged by any checker or breaks the \
+           counter identities."
+      $ flag "expect-flagged"
+          "Exit nonzero if no run fails any check (negative-control mode).")
 
+(* ------------------------------------------------------------------ *)
+(* serve-net                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* One process, real sockets: start the TCP edge on an ephemeral
@@ -1986,5 +1877,5 @@ let () =
             verify_cmd; complexity_cmd; space_cmd; compare_cmd; scenario_cmd;
             starvation_cmd; lemmas_cmd; fullstack_cmd; resilience_cmd;
             mutants_cmd; trace_cmd; chaos_cmd; net_cmd; byz_cmd; serve_cmd;
-            reshard_cmd; serve_net_cmd; profile_cmd; stat_cmd;
+            serve_net_cmd; profile_cmd; stat_cmd;
           ]))

@@ -78,77 +78,6 @@ let of_serve ?outer ?max_shards ~shards ~workers ~init () =
   let scan ~worker =
     items_to_pairs (Serve.scan_items srv ~reader:(worker mod workers))
   in
-  (* Accounting must close {e per epoch}, not only as lifetime totals:
-     a counter double-bumped across a reshard boundary cancels out in
-     the cumulative sums but shows up as a negative carry or a broken
-     per-epoch identity (see {!Serve.epoch_stats}). *)
-  let check_epoch (e : Serve.epoch_stats) =
-    let fail fmt = Printf.ksprintf (fun m -> Some m) fmt in
-    if
-      e.Serve.e_posted < 0 || e.Serve.e_applied < 0 || e.Serve.e_coalesced < 0
-      || e.Serve.e_publishes < 0
-      || e.Serve.e_carried_in < 0
-      || e.Serve.e_carried_out < 0
-      || e.Serve.e_scans_requested < 0
-      || e.Serve.e_scans_combined < 0
-      || e.Serve.e_scans_performed < 0
-      || e.Serve.e_inflight_in < 0
-      || e.Serve.e_inflight_out < 0
-    then fail "serve: epoch %d has a negative counter delta" e.Serve.e_epoch
-    else if
-      e.Serve.e_posted + e.Serve.e_carried_in
-      <> e.Serve.e_applied + e.Serve.e_coalesced + e.Serve.e_carried_out
-    then
-      fail "serve: epoch %d: posted %d + carried_in %d <> applied %d + \
-            coalesced %d + carried_out %d"
-        e.Serve.e_epoch e.Serve.e_posted e.Serve.e_carried_in
-        e.Serve.e_applied e.Serve.e_coalesced e.Serve.e_carried_out
-    else if
-      e.Serve.e_scans_requested + e.Serve.e_inflight_in
-      <> e.Serve.e_scans_combined + e.Serve.e_scans_performed
-         + e.Serve.e_inflight_out
-    then
-      fail "serve: epoch %d: scans_requested %d + inflight_in %d <> \
-            combined %d + performed %d + inflight_out %d"
-        e.Serve.e_epoch e.Serve.e_scans_requested e.Serve.e_inflight_in
-        e.Serve.e_scans_combined e.Serve.e_scans_performed
-        e.Serve.e_inflight_out
-    else None
-  in
-  let identities_ok () =
-    let st = Serve.stats srv in
-    let fail fmt = Printf.ksprintf (fun m -> Result.Error m) fmt in
-    if st.Serve.pending <> 0 then
-      fail "serve: %d posts still pending after drain" st.Serve.pending
-    else if st.Serve.posted <> st.Serve.applied + st.Serve.coalesced then
-      fail "serve: posted %d <> applied %d + coalesced %d" st.Serve.posted
-        st.Serve.applied st.Serve.coalesced
-    else if
-      st.Serve.scans_requested
-      <> st.Serve.scans_combined + st.Serve.scans_performed
-    then
-      fail "serve: scans_requested %d <> combined %d + performed %d"
-        st.Serve.scans_requested st.Serve.scans_combined
-        st.Serve.scans_performed
-    else
-      let eps = Serve.epoch_stats srv in
-      let per_epoch =
-        Array.fold_left
-          (fun acc e -> match acc with Some _ -> acc | None -> check_epoch e)
-          None eps
-      in
-      match per_epoch with
-      | Some m -> Result.Error m
-      | None ->
-        let last = eps.(Array.length eps - 1) in
-        if last.Serve.e_carried_out <> 0 || last.Serve.e_inflight_out <> 0 then
-          fail
-            "serve: final epoch %d still carries work out (posts %d, \
-             scans %d)"
-            last.Serve.e_epoch last.Serve.e_carried_out
-            last.Serve.e_inflight_out
-        else Ok ()
-  in
   let counters () =
     let st = Serve.stats srv in
     [
@@ -173,6 +102,6 @@ let of_serve ?outer ?max_shards ~shards ~workers ~init () =
     post;
     scan;
     shutdown = (fun () -> Serve.shutdown srv);
-    identities_ok;
+    identities_ok = (fun () -> Serve.check_identities srv);
     counters;
   }

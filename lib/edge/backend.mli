@@ -59,9 +59,6 @@ val of_serve :
     readers; [post] is the wait-free mailbox channel ({!Serve.post}).
     [max_shards] (default [shards]) bounds what the [caps.reconfigure]
     capability — wired to {!Serve.reshard} — may grow the service to.
-    [shutdown] drains the appliers; [identities_ok] then checks the
-    lifetime totals ([posted = applied + coalesced] with [pending = 0]
-    and the scan-sharing identity) {e and} every per-epoch slice of
-    {!Serve.epoch_stats}: non-negative deltas, conservation of posts
-    and scans across each epoch boundary, and a final epoch that
-    carries nothing out. *)
+    [shutdown] drains the appliers; [identities_ok] is then
+    {!Serve.check_identities}: the lifetime totals and every per-epoch
+    slice of {!Serve.epoch_stats}. *)

@@ -599,6 +599,69 @@ let epoch_stats t =
   in
   Array.of_list (build now [] log)
 
+(* The quiescent identities, first failure wins.  Checked per epoch as
+   well as over the lifetime: a counter double-bumped across a reshard
+   boundary cancels out in the totals but shows up as a negative carry
+   or a broken per-epoch identity. *)
+let check_identities t =
+  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let check_epoch (e : epoch_stats) =
+    if
+      e.e_posted < 0 || e.e_applied < 0 || e.e_coalesced < 0
+      || e.e_publishes < 0 || e.e_carried_in < 0 || e.e_carried_out < 0
+      || e.e_scans_requested < 0 || e.e_scans_combined < 0
+      || e.e_scans_performed < 0 || e.e_inflight_in < 0
+      || e.e_inflight_out < 0
+    then fail "serve: epoch %d has a negative counter delta" e.e_epoch
+    else if
+      e.e_posted + e.e_carried_in
+      <> e.e_applied + e.e_coalesced + e.e_carried_out
+    then
+      fail
+        "serve: epoch %d: posted %d + carried_in %d <> applied %d + \
+         coalesced %d + carried_out %d"
+        e.e_epoch e.e_posted e.e_carried_in e.e_applied e.e_coalesced
+        e.e_carried_out
+    else if
+      e.e_scans_requested + e.e_inflight_in
+      <> e.e_scans_combined + e.e_scans_performed + e.e_inflight_out
+    then
+      fail
+        "serve: epoch %d: scans_requested %d + inflight_in %d <> combined \
+         %d + performed %d + inflight_out %d"
+        e.e_epoch e.e_scans_requested e.e_inflight_in e.e_scans_combined
+        e.e_scans_performed e.e_inflight_out
+    else Ok ()
+  in
+  let st = stats t in
+  if st.pending <> 0 then
+    fail "serve: %d posts still pending after drain" st.pending
+  else if st.posted <> st.applied + st.coalesced then
+    fail "serve: posted %d <> applied %d + coalesced %d" st.posted st.applied
+      st.coalesced
+  else if st.scans_requested <> st.scans_combined + st.scans_performed then
+    fail "serve: scans_requested %d <> combined %d + performed %d"
+      st.scans_requested st.scans_combined st.scans_performed
+  else if st.full_scans <> st.scans_performed then
+    fail "serve: full_scans %d <> performed %d" st.full_scans
+      st.scans_performed
+  else if (not t.combine) && st.scans_combined <> 0 then
+    fail "serve: %d scans combined with scan-sharing off" st.scans_combined
+  else
+    let eps = epoch_stats t in
+    let last = eps.(Array.length eps - 1) in
+    match
+      Array.fold_left
+        (fun acc e -> Result.bind acc (fun () -> check_epoch e))
+        (Ok ()) eps
+    with
+    | Error _ as broken -> broken
+    | Ok () ->
+      if last.e_carried_out <> 0 || last.e_inflight_out <> 0 then
+        fail "serve: final epoch %d still carries work out (posts %d, scans %d)"
+          last.e_epoch last.e_carried_out last.e_inflight_out
+      else Ok ()
+
 let reshard t ~shards:s' =
   if s' < 1 || s' > t.max_shards then
     invalid_arg

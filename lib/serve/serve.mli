@@ -375,6 +375,18 @@ val epoch_stats : 'a t -> epoch_stats array
 (** One entry per epoch, index = epoch number; the last entry is the
     open epoch measured against the current totals. *)
 
+val check_identities : 'a t -> (unit, string) result
+(** The quiescent counter identities, stated once for every caller:
+    [pending = 0], [posted = applied + coalesced],
+    [scans_requested = scans_combined + scans_performed],
+    [full_scans = scans_performed], [scans_combined = 0] when
+    scan-sharing is off, and for every epoch of {!epoch_stats}
+    non-negative deltas and both per-epoch conservation identities,
+    with zero carried and in-flight work out of the final epoch.
+    [Error] names the first identity that breaks.  Meaningful only at
+    quiescence (after {!shutdown}, or after {!drain} in manual mode):
+    under load the carries are legitimately non-zero. *)
+
 val observe : 'a t -> Obs.Metrics.t -> unit
 (** Accumulate current totals into counters [serve.posted],
     [serve.coalesced], [serve.applied], [serve.publishes],

@@ -1,6 +1,7 @@
 type config = {
   outer : Serve.outer_impl;
   shards : int;
+  schedule : int list;
   components : int;
   readers : int;
   writer_ops : int;
@@ -9,13 +10,16 @@ type config = {
   validate : bool;
   cache : bool;
   combine : bool;
+  migrate : bool;
   check_generic : bool;
+  minimize_budget : int;
 }
 
 let default =
   {
     outer = Serve.Outer_afek;
     shards = 2;
+    schedule = [];
     components = 4;
     readers = 2;
     writer_ops = 4;
@@ -24,25 +28,34 @@ let default =
     validate = true;
     cache = true;
     combine = true;
+    migrate = true;
     check_generic = true;
+    minimize_budget = 40;
   }
 
 type result = {
   runs : int;
   ops_checked : int;
+  epochs_completed : int;
   flagged_runs : int;
   generic_failures : int;
   accounting_failures : int;
   example : string option;
+  minimized : int list option;
 }
+
+let failures r = r.flagged_runs + r.generic_failures + r.accounting_failures
 
 type run_outcome = {
   ro_ops : int;
+  ro_epochs : int;
   ro_flagged : bool;
   ro_generic_fail : bool;
   ro_accounting_fail : bool;
   ro_example : string option;
 }
+
+let ro_failed o = o.ro_flagged || o.ro_generic_fail || o.ro_accounting_fail
 
 (* The blind-cache mutant, outside the service: each reader's first
    scan goes to [h], and every later one returns that same snapshot
@@ -62,104 +75,126 @@ let blind_cache hits (h : int Composite.Snapshot.t) =
   in
   { h with Composite.Snapshot.scan_items }
 
-(* One service lifetime: build, start the appliers, stress with writer
-   and reader domains, stop, check the recorded history.  Self-contained
-   and so safe to farm across pool domains (each run's own domains are
-   nested under the pool worker's). *)
-let run_one worker_metrics (cfg : config) (_ : int) =
-  let init = Array.init cfg.components (fun k -> (k + 1) * 10) in
-  let srv =
-    Serve.create ~outer:cfg.outer ~cache:cfg.cache ~combine:cfg.combine
-      ~shards:cfg.shards ~readers:cfg.readers ~init ()
-  in
-  let blind_hits = Atomic.make 0 in
-  let handle =
-    if cfg.cache && not cfg.validate then
-      blind_cache blind_hits (Serve.handle srv)
-    else Serve.handle srv
-  in
+let stress ?(pace_stalls = Atomic.make 0) ?handle srv ~schedule ~writer_ops
+    ~reader_ops ~init =
+  let handle = Option.value handle ~default:(Serve.handle srv) in
   Serve.start srv;
-  (* Cached scans are orders of magnitude cheaper than synchronous
-     updates (mailbox -> applier -> publish -> ack), so unpaced reader
-     domains would finish every scan before the first write completes
-     and the checkers would see no concurrency at all.  Pace each scan
-     on writer progress: start it only once another write has been
-     applied (or all writes are done), so scans are spread across the
-     whole write activity — which is also what makes the
-     validation-disabled mutant reliably observable. *)
-  let total_writes = cfg.components * cfg.writer_ops in
+  let total_writes = Serve.components srv * writer_ops in
   let applied () = (Serve.stats srv).Serve.applied in
-  (* Bounded exponential backoff instead of a bare relax loop: if an
-     applier domain is descheduled mid-campaign the pacing readers back
-     off instead of spinning flat out, and the waves that hit the cap
-     are counted so the stall is visible in the worker metrics. *)
-  let pace_stalls = Atomic.make 0 in
-  let reader_pace () =
-    let before = applied () in
+  let stop = Atomic.make false in
+  let schedule_done = Atomic.make (schedule = []) in
+  (* Back off rather than spin: if an applier domain is descheduled
+     mid-campaign, a spinning waiter burns the CPU it needs.  Waves at
+     the cap are counted. *)
+  let wait_while waiting =
     let b = Serve.Backoff.make pace_stalls in
-    while before < total_writes && applied () = before do
+    while waiting () do
       Serve.Backoff.once b
     done
+  in
+  (* A synchronous update drains its own shard as soon as a reshard
+     releases the drain tokens, and writers can finish while a reshard
+     is still joining the appliers: unpaced on the epoch, scans would
+     rarely land between a switch and the next write of a component,
+     which is where the publish-before-migrate mutant shows. *)
+  let reader_pace () =
+    let before = applied () and e = Serve.epoch srv in
+    wait_while (fun () ->
+        Serve.epoch srv = e
+        && (if before < total_writes then applied () = before
+            else not (Atomic.get schedule_done)))
+  in
+  let reshard_pace () =
+    let before = applied () in
+    wait_while (fun () ->
+        before < total_writes && applied () = before && not (Atomic.get stop))
+  in
+  let reconfigurer =
+    if schedule = [] then None
+    else
+      Some
+        (Domain.spawn (fun () ->
+             Fun.protect
+               ~finally:(fun () -> Atomic.set schedule_done true)
+               (fun () ->
+                 List.iter
+                   (fun s ->
+                     if not (Atomic.get stop) then begin
+                       reshard_pace ();
+                       Serve.reshard srv ~shards:s
+                     end)
+                   schedule)))
   in
   let h =
     Composite.Multicore.stress ~reader_pace
       ~config:
         {
-          Composite.Multicore.writer_ops = cfg.writer_ops;
-          reader_ops = cfg.reader_ops;
-          readers = cfg.readers;
+          Composite.Multicore.writer_ops;
+          reader_ops;
+          readers = Serve.readers srv;
         }
       ~init ~handle ()
   in
+  Atomic.set stop true;
+  Option.iter Domain.join reconfigurer;
   Serve.shutdown srv;
-  Serve.observe srv worker_metrics;
-  let c name by =
-    Obs.Metrics.incr ~by (Obs.Metrics.counter worker_metrics name)
+  h
+
+(* One service lifetime under [schedule], checked.  Self-contained and
+   so safe to farm across pool domains (each run's own domains are
+   nested under the pool worker's). *)
+let run_one metrics (cfg : config) ~schedule =
+  let init = Array.init cfg.components (fun k -> (k + 1) * 10) in
+  let clamp s = max 1 (min cfg.components s) in
+  let schedule = List.map clamp schedule and shards = clamp cfg.shards in
+  let srv =
+    Serve.create ~outer:cfg.outer ~cache:cfg.cache ~combine:cfg.combine
+      ~migrate:cfg.migrate
+      ~max_shards:(List.fold_left max shards schedule)
+      ~shards ~readers:cfg.readers ~init ()
   in
+  let blind_hits = Atomic.make 0 and pace_stalls = Atomic.make 0 in
+  let handle =
+    if cfg.cache && not cfg.validate then
+      Some (blind_cache blind_hits (Serve.handle srv))
+    else None
+  in
+  let h =
+    stress ~pace_stalls ?handle srv ~schedule ~writer_ops:cfg.writer_ops
+      ~reader_ops:cfg.reader_ops ~init
+  in
+  Serve.observe srv metrics;
+  let c name by = Obs.Metrics.incr ~by (Obs.Metrics.counter metrics name) in
   c "serve_campaign.pace.stalls" (Atomic.get pace_stalls);
   c "serve_campaign.blind_hits" (Atomic.get blind_hits);
-  (* The raw-speed identities must hold exactly at quiescence: every
-     post applied or coalesced, every scan request either combined or
-     performed (and the outer register paid only for the performed
-     ones). *)
-  let st = Serve.stats srv in
-  let accounting_ok =
-    st.Serve.posted = st.Serve.applied + st.Serve.coalesced
-    && st.Serve.pending = 0
-    && st.Serve.scans_requested
-       = st.Serve.scans_combined + st.Serve.scans_performed
-    && st.Serve.full_scans = st.Serve.scans_performed
-    && (cfg.combine || st.Serve.scans_combined = 0)
-  in
   let ops = History.Snapshot_history.size h in
   Obs.Metrics.observe
-    (Obs.Metrics.histogram worker_metrics "serve_campaign.ops_per_run")
+    (Obs.Metrics.histogram metrics "serve_campaign.ops_per_run")
     ops;
   (* Latencies in multicore ticks (the stress clock): how many other
      operations started/finished while this one was in flight. *)
-  Campaign.observe_op_latencies worker_metrics ~prefix:"serve_campaign" h;
+  Campaign.observe_op_latencies metrics ~prefix:"serve_campaign" h;
   let violations = History.Shrinking.check ~equal:Int.equal h in
-  let shrinking_ok = violations = [] in
   let generic_ok =
-    if not cfg.check_generic then true
-    else
-      match
-        History.Linearize.check
-          (History.Linearize.snapshot_spec ~equal:Int.equal)
-          ~init
-          (History.Snapshot_history.to_ops h)
-      with
-      | History.Linearize.Linearizable _ -> true
-      | History.Linearize.Not_linearizable -> false
-      | History.Linearize.Too_large -> true (* skipped *)
+    (not cfg.check_generic)
+    ||
+    match
+      History.Linearize.check
+        (History.Linearize.snapshot_spec ~equal:Int.equal)
+        ~init
+        (History.Snapshot_history.to_ops h)
+    with
+    | History.Linearize.Not_linearizable -> false
+    | History.Linearize.Linearizable _ | History.Linearize.Too_large -> true
   in
   {
     ro_ops = ops;
-    ro_flagged = not shrinking_ok;
+    ro_epochs = Serve.epoch srv;
+    ro_flagged = violations <> [];
     ro_generic_fail = not generic_ok;
-    ro_accounting_fail = not accounting_ok;
+    ro_accounting_fail = Result.is_error (Serve.check_identities srv);
     ro_example =
-      (if shrinking_ok then None
+      (if violations = [] then None
        else
          Some
            (Format.asprintf "%a@.%a"
@@ -170,39 +205,54 @@ let run_one worker_metrics (cfg : config) (_ : int) =
   }
 
 let run ?(jobs = 1) ?pool ?metrics (cfg : config) =
-  if cfg.runs < 1 then invalid_arg "Serve_campaign.run: runs must be >= 1";
+  let at_least what n v =
+    if v < n then
+      invalid_arg
+        (Printf.sprintf "Serve_campaign.run: %s = %d, must be >= %d" what v n)
+  in
+  at_least "components" 1 cfg.components;
+  at_least "readers" 1 cfg.readers;
+  at_least "runs" 1 cfg.runs;
+  at_least "writer_ops" 0 cfg.writer_ops;
+  at_least "reader_ops" 0 cfg.reader_ops;
   let outcomes, workers =
     Exec.Pool.map_workers ~jobs ?recorder:pool
-      ~label:(fun i -> Printf.sprintf "serve run %d (S=%d)" i cfg.shards)
+      ~label:(fun i ->
+        Printf.sprintf "serve run %d (S=%d, %d steps)" i cfg.shards
+          (List.length cfg.schedule))
       ~worker:Obs.Metrics.create cfg.runs
-      (fun m i -> run_one m cfg i)
+      (fun m (_ : int) -> run_one m cfg ~schedule:cfg.schedule)
   in
   (* Index-ordered merge, as in {!Campaign.run}: totals and the example
      choice are independent of the job count. *)
-  let flagged = ref 0 in
-  let generic_failures = ref 0 in
-  let accounting_failures = ref 0 in
-  let ops = ref 0 in
-  let example = ref None in
-  Array.iter
-    (fun o ->
-      ops := !ops + o.ro_ops;
-      if o.ro_flagged then begin
-        incr flagged;
-        if !example = None then example := o.ro_example
-      end;
-      if o.ro_generic_fail then incr generic_failures;
-      if o.ro_accounting_fail then incr accounting_failures)
-    outcomes;
+  let sum f = Array.fold_left (fun n o -> n + f o) 0 outcomes in
+  let count p = sum (fun o -> Bool.to_int (p o)) in
   let result =
     {
       runs = cfg.runs;
-      ops_checked = !ops;
-      flagged_runs = !flagged;
-      generic_failures = !generic_failures;
-      accounting_failures = !accounting_failures;
-      example = !example;
+      ops_checked = sum (fun o -> o.ro_ops);
+      epochs_completed = sum (fun o -> o.ro_epochs);
+      flagged_runs = count (fun o -> o.ro_flagged);
+      generic_failures = count (fun o -> o.ro_generic_fail);
+      accounting_failures = count (fun o -> o.ro_accounting_fail);
+      example = Array.find_map (fun o -> o.ro_example) outcomes;
+      minimized = None;
     }
+  in
+  (* A real epoch-boundary bug reproduces on nearly every lifetime, so
+     one re-run per ddmin candidate is enough for a useful shrink. *)
+  let result =
+    if failures result = 0 || cfg.minimize_budget <= 0 || cfg.schedule = []
+    then result
+    else
+      let still_fails schedule =
+        ro_failed (run_one (Obs.Metrics.create ()) cfg ~schedule)
+      in
+      let shrunk, (_ : int) =
+        Fault_campaign.ddmin ~budget:cfg.minimize_budget ~test:still_fails
+          cfg.schedule
+      in
+      { result with minimized = Some shrunk }
   in
   (match metrics with
   | None -> ()
@@ -211,15 +261,8 @@ let run ?(jobs = 1) ?pool ?metrics (cfg : config) =
     let c name by = Obs.Metrics.incr ~by (Obs.Metrics.counter m name) in
     c "serve_campaign.runs" result.runs;
     c "serve_campaign.ops_checked" result.ops_checked;
+    c "serve_campaign.epochs" result.epochs_completed;
     c "serve_campaign.flagged_runs" result.flagged_runs;
     c "serve_campaign.generic_failures" result.generic_failures;
     c "serve_campaign.accounting_failures" result.accounting_failures);
   result
-
-let pp_result fmt r =
-  Format.fprintf fmt
-    "@[<v>runs: %d@,operations checked: %d@,runs flagged by Shrinking \
-     checker: %d@,runs rejected by generic oracle: %d@,runs with broken \
-     counter identities: %d@]"
-    r.runs r.ops_checked r.flagged_runs r.generic_failures
-    r.accounting_failures

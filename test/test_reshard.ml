@@ -2,12 +2,18 @@
    lib/serve (deterministic manual-mode reshards, live reshards under
    real-domain load with Shrinking + Wing–Gong checks across the epoch
    boundary, per-epoch accounting identities, the publish-map-without-
-   state mutant being caught) and the capability API that exposes it
+   state mutant being caught, the campaign with a reshard schedule)
+   and the capability API that exposes it
    ([Composite_intf.caps]). *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
+
+(* The serving campaign: its lifetime runner [SC.stress] drives every
+   live test below (a reconfigurer domain walks the schedule while
+   writers/readers run, with epoch-aware pacing). *)
+module SC = Workload.Serve_campaign
 
 (* ---------------------------------------------------------------- *)
 (* Capability record                                                  *)
@@ -159,71 +165,13 @@ let test_epoch_stats_identities () =
 (* Live reshards under real-domain load                               *)
 (* ---------------------------------------------------------------- *)
 
-(* Stress one service lifetime with a reconfigurer domain walking
-   [schedule] (a list of shard counts) while writers/readers run, as
-   Reshard_campaign does; returns the recorded history.  Reshards are
-   paced on writer progress, so every closed epoch has a write applied
-   in it.  Scans are paced on writer progress or an epoch switch, and
-   once every write is done, on the next switch or the end of the
-   schedule: a synchronous update drains its own shard as soon as the
-   reshard releases the drain tokens, and writers can finish while a
-   reshard is still joining the appliers, so unpaced scans would rarely
-   land between a switch and the next write of a component. *)
-let stress_with_reshards srv ~schedule ~writer_ops ~reader_ops ~readers ~init =
-  Serve.start srv;
-  let total_writes = Serve.components srv * writer_ops in
-  let applied () = (Serve.stats srv).Serve.applied in
-  let stop = Atomic.make false in
-  let schedule_done = Atomic.make false in
-  let pace () =
-    let before = applied () in
-    while before < total_writes && applied () = before && not (Atomic.get stop)
-    do
-      Domain.cpu_relax ()
-    done
-  in
-  let reader_pace () =
-    let before = applied () and e = Serve.epoch srv in
-    let waiting () =
-      Serve.epoch srv = e
-      && (if before < total_writes then applied () = before
-          else not (Atomic.get schedule_done))
-    in
-    while waiting () do
-      Domain.cpu_relax ()
-    done
-  in
-  let reconfigurer =
-    Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Atomic.set schedule_done true)
-          (fun () ->
-            List.iter
-              (fun s ->
-                if not (Atomic.get stop) then begin
-                  pace ();
-                  Serve.reshard srv ~shards:s
-                end)
-              schedule))
-  in
-  let h =
-    Composite.Multicore.stress ~reader_pace
-      ~config:{ Composite.Multicore.writer_ops; reader_ops; readers }
-      ~init ~handle:(Serve.handle srv) ()
-  in
-  Atomic.set stop true;
-  Domain.join reconfigurer;
-  Serve.shutdown srv;
-  h
-
 let test_live_grow_shrink_linearizable () =
   let init = [| 10; 20; 30; 40; 50 |] in
   List.iter
     (fun schedule ->
       let srv = Serve.create ~shards:2 ~max_shards:5 ~readers:2 ~init () in
       let h =
-        stress_with_reshards srv ~schedule ~writer_ops:4 ~reader_ops:4
-          ~readers:2 ~init
+        SC.stress srv ~schedule ~writer_ops:4 ~reader_ops:4 ~init
       in
       let label = String.concat "->" (List.map string_of_int schedule) in
       check int
@@ -256,18 +204,10 @@ let qcheck_random_schedules_clean =
       let schedule = List.map (fun s -> 1 + ((s - 1) mod c)) raw_schedule in
       let srv = Serve.create ~shards:1 ~max_shards:c ~readers:2 ~init () in
       let h =
-        stress_with_reshards srv ~schedule ~writer_ops ~reader_ops:3 ~readers:2
-          ~init
+        SC.stress srv ~schedule ~writer_ops ~reader_ops:3 ~init
       in
-      let st = Serve.stats srv in
       History.Shrinking.check ~equal:Int.equal h = []
-      && st.Serve.posted = st.Serve.applied + st.Serve.coalesced
-      && st.Serve.pending = 0
-      && Array.for_all
-           (fun (e : Serve.epoch_stats) ->
-             e.Serve.e_posted + e.Serve.e_carried_in
-             = e.Serve.e_applied + e.Serve.e_coalesced + e.Serve.e_carried_out)
-           (Serve.epoch_stats srv))
+      && Serve.check_identities srv = Ok ())
 
 let test_mutant_always_caught () =
   (* ~migrate:false publishes the new shard map with the previous
@@ -312,8 +252,8 @@ let test_mutant_caught_under_load () =
       Serve.create ~migrate:false ~shards:1 ~max_shards:2 ~readers:2 ~init ()
     in
     let h =
-      stress_with_reshards srv ~schedule:[ 2; 1; 2 ] ~writer_ops:6
-        ~reader_ops:6 ~readers:2 ~init
+      SC.stress srv ~schedule:[ 2; 1; 2 ] ~writer_ops:6
+        ~reader_ops:6 ~init
     in
     let flagged = History.Shrinking.check ~equal:Int.equal h <> [] in
     if flagged || n <= 1 then flagged else attempt (n - 1)
@@ -321,39 +261,29 @@ let test_mutant_caught_under_load () =
   check bool "mutant flagged under load" true (attempt 5)
 
 (* ---------------------------------------------------------------- *)
-(* The campaign driver (Workload.Reshard_campaign)                    *)
+(* The campaign (Workload.Serve_campaign with a schedule)             *)
 (* ---------------------------------------------------------------- *)
 
+let grow_shrink = { SC.default with SC.schedule = [ 4; 1; 3 ] }
+
 let test_campaign_clean () =
-  let cfg =
-    {
-      Workload.Reshard_campaign.default with
-      Workload.Reshard_campaign.runs = 3;
-      writer_ops = 3;
-      reader_ops = 3;
-    }
-  in
+  let cfg = { grow_shrink with SC.runs = 3; writer_ops = 3; reader_ops = 3 } in
   let m = Obs.Metrics.create () in
-  let r = Workload.Reshard_campaign.run ~jobs:2 ~metrics:m cfg in
-  check int "all lifetimes ran" 3 r.Workload.Reshard_campaign.runs;
-  check int "no shrinking flags" 0 r.Workload.Reshard_campaign.flagged_runs;
-  check int "no generic-oracle failures" 0
-    r.Workload.Reshard_campaign.generic_failures;
-  check int "no accounting failures" 0
-    r.Workload.Reshard_campaign.accounting_failures;
+  let r = SC.run ~jobs:2 ~metrics:m cfg in
+  check int "all lifetimes ran" 3 r.SC.runs;
+  check int "no shrinking flags" 0 r.SC.flagged_runs;
+  check int "no generic-oracle failures" 0 r.SC.generic_failures;
+  check int "no accounting failures" 0 r.SC.accounting_failures;
   (* The reconfigurer stops early when load drains first, so a
      lifetime completes between 1 and |schedule| epoch switches. *)
   check bool "every lifetime resharded at least once" true
-    (r.Workload.Reshard_campaign.epochs_completed >= 3);
+    (r.SC.epochs_completed >= 3);
   check bool "no lifetime over-resharded" true
-    (r.Workload.Reshard_campaign.epochs_completed
-    <= 3 * List.length cfg.Workload.Reshard_campaign.schedule);
-  check bool "histories non-trivial" true
-    (r.Workload.Reshard_campaign.ops_checked > 0);
-  check bool "nothing to minimize" true
-    (r.Workload.Reshard_campaign.minimized = None);
+    (r.SC.epochs_completed <= 3 * List.length cfg.SC.schedule);
+  check bool "histories non-trivial" true (r.SC.ops_checked > 0);
+  check bool "nothing to minimize" true (r.SC.minimized = None);
   let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter m name) in
-  check int "runs counter" 3 (counter "reshard_campaign.runs");
+  check int "runs counter" 3 (counter "serve_campaign.runs");
   check bool "serve counters merged" true (counter "serve.reshards" > 0)
 
 let test_campaign_mutant_flagged () =
@@ -361,30 +291,18 @@ let test_campaign_mutant_flagged () =
      checker, and the failing schedule must ddmin to a non-empty
      minimal witness. *)
   let cfg =
-    {
-      Workload.Reshard_campaign.default with
-      Workload.Reshard_campaign.runs = 4;
-      migrate = false;
-      minimize_budget = 12;
-    }
+    { grow_shrink with SC.runs = 4; migrate = false; minimize_budget = 12 }
   in
-  let r = Workload.Reshard_campaign.run ~jobs:2 cfg in
-  let failures =
-    r.Workload.Reshard_campaign.flagged_runs
-    + r.Workload.Reshard_campaign.generic_failures
-    + r.Workload.Reshard_campaign.accounting_failures
-  in
-  check bool "mutant flagged" true (failures > 0);
-  (match r.Workload.Reshard_campaign.minimized with
+  let r = SC.run ~jobs:2 cfg in
+  check bool "mutant flagged" true (SC.failures r > 0);
+  (match r.SC.minimized with
   | None -> Alcotest.failf "no minimized schedule despite failures"
   | Some s ->
     check bool "minimal witness is non-empty" true (s <> []);
     check bool "witness no longer than the original" true
-      (List.length s
-      <= List.length Workload.Reshard_campaign.default.Workload.Reshard_campaign.schedule));
-  if r.Workload.Reshard_campaign.flagged_runs > 0 then
-    check bool "a flagged run carries an example" true
-      (r.Workload.Reshard_campaign.example <> None)
+      (List.length s <= List.length grow_shrink.SC.schedule));
+  if r.SC.flagged_runs > 0 then
+    check bool "a flagged run carries an example" true (r.SC.example <> None)
 
 let () =
   Alcotest.run "reshard"

@@ -356,6 +356,25 @@ let test_observe_metrics () =
   check int "serve.cache.hit" 1 (v "serve.cache.hit");
   check int "serve.cache.miss" 1 (v "serve.cache.miss")
 
+(* The one statement of the quiescent identities: a post still in its
+   mailbox is named as pending, not reported as a broken
+   [posted = applied + coalesced]. *)
+let test_check_identities () =
+  let srv = Serve.create ~shards:2 ~readers:1 ~init:[| 0; 0; 0 |] () in
+  check bool "fresh service" true (Serve.check_identities srv = Ok ());
+  Serve.post srv ~writer:0 7;
+  Serve.post srv ~writer:2 9;
+  (match Serve.check_identities srv with
+  | Ok () -> Alcotest.fail "pending posts accepted"
+  | Error m ->
+    check bool
+      (Printf.sprintf "error names the pending count: %s" m)
+      true
+      (contains m "2 posts still pending"));
+  Serve.drain srv;
+  ignore (Serve.scan srv ~reader:0);
+  check bool "quiescent after drain" true (Serve.check_identities srv = Ok ())
+
 (* ---------------------------------------------------------------- *)
 (* Scan-sharing accounting (manual drain: fully deterministic)       *)
 (* ---------------------------------------------------------------- *)
@@ -557,34 +576,18 @@ let test_differential_anderson_afek () =
 (* Linearizability under real domains                                *)
 (* ---------------------------------------------------------------- *)
 
-(* Paced stress of one service lifetime, as in Serve_campaign: cached
-   scans are far cheaper than synchronous updates, so unpaced readers
-   would finish before any write completes and the history would have
-   no concurrency to check. *)
-let stress_serve srv ~writer_ops ~reader_ops ~readers ~init =
-  Serve.start srv;
-  let total_writes = Serve.components srv * writer_ops in
-  let applied () = (Serve.stats srv).Serve.applied in
-  let reader_pace () =
-    let before = applied () in
-    while before < total_writes && applied () = before do
-      Domain.cpu_relax ()
-    done
-  in
-  let h =
-    Composite.Multicore.stress ~reader_pace
-      ~config:{ Composite.Multicore.writer_ops; reader_ops; readers }
-      ~init ~handle:(Serve.handle srv) ()
-  in
-  Serve.shutdown srv;
-  h
+(* Each lifetime below is the campaign's own [stress] with an empty
+   reshard schedule: paced on writer progress, since cached scans are
+   far cheaper than synchronous updates and unpaced readers would
+   finish before any write completes. *)
+module SC = Workload.Serve_campaign
 
 let test_stress_per_shard_count () =
   let init = [| 10; 20; 30; 40 |] in
   List.iter
     (fun shards ->
       let srv = Serve.create ~shards ~readers:2 ~init () in
-      let h = stress_serve srv ~writer_ops:3 ~reader_ops:3 ~readers:2 ~init in
+      let h = SC.stress srv ~schedule:[] ~writer_ops:3 ~reader_ops:3 ~init in
       check int
         (Printf.sprintf "S=%d: no shrinking violations" shards)
         0
@@ -607,7 +610,7 @@ let qcheck_stress_random_shapes =
       let shards = 1 + ((shards_raw - 1) mod c) in
       let init = Array.init c (fun k -> k * 100) in
       let srv = Serve.create ~shards ~readers:2 ~init () in
-      let h = stress_serve srv ~writer_ops ~reader_ops ~readers:2 ~init in
+      let h = SC.stress srv ~schedule:[] ~writer_ops ~reader_ops ~init in
       History.Shrinking.check ~equal:Int.equal h = [])
 
 let qcheck_differential_stress =
@@ -620,7 +623,7 @@ let qcheck_differential_stress =
         Serve.create ~outer:Serve.Outer_anderson ~shards:(min 2 c) ~readers:2
           ~init ()
       in
-      let h = stress_serve srv ~writer_ops ~reader_ops:2 ~readers:2 ~init in
+      let h = SC.stress srv ~schedule:[] ~writer_ops ~reader_ops:2 ~init in
       History.Shrinking.check ~equal:Int.equal h = [])
 
 let test_campaign_clean () =
@@ -639,9 +642,34 @@ let test_campaign_clean () =
   check int "runs" 3 r.Workload.Serve_campaign.runs;
   check int "flagged" 0 r.Workload.Serve_campaign.flagged_runs;
   check int "oracle failures" 0 r.Workload.Serve_campaign.generic_failures;
+  check int "accounting failures" 0
+    r.Workload.Serve_campaign.accounting_failures;
+  (* A static service never reshards, so there is nothing to minimize. *)
+  check int "no epochs" 0 r.Workload.Serve_campaign.epochs_completed;
+  check bool "nothing minimized" true
+    (r.Workload.Serve_campaign.minimized = None);
   (* 4 writers x 3 ops + 2 readers x 3 ops, per run. *)
   check int "ops checked" (3 * ((4 * 3) + (2 * 3)))
     r.Workload.Serve_campaign.ops_checked
+
+let test_campaign_rejects_bad_shapes () =
+  (* Checked before any work: a zero count would report a vacuous
+     clean campaign. *)
+  List.iter
+    (fun (label, cfg) ->
+      check bool label true
+        (try
+           ignore (Workload.Serve_campaign.run cfg);
+           false
+         with Invalid_argument _ -> true))
+    Workload.Serve_campaign.
+      [
+        ("runs = 0", { default with runs = 0 });
+        ("components = 0", { default with components = 0 });
+        ("readers = 0", { default with readers = 0 });
+        ("writer_ops < 0", { default with writer_ops = -1 });
+        ("reader_ops < 0", { default with reader_ops = -3 });
+      ]
 
 let test_campaign_jobs_deterministic () =
   (* Clean campaigns report identically at every job count (the same
@@ -793,6 +821,7 @@ let () =
             test_cache_hit_miss_stale;
           Alcotest.test_case "cache disabled" `Quick test_cache_disabled;
           Alcotest.test_case "observe metrics" `Quick test_observe_metrics;
+          Alcotest.test_case "check identities" `Quick test_check_identities;
         ] );
       ( "scan-sharing",
         [
@@ -824,6 +853,8 @@ let () =
             test_stress_per_shard_count;
           QCheck_alcotest.to_alcotest qcheck_stress_random_shapes;
           Alcotest.test_case "campaign clean" `Quick test_campaign_clean;
+          Alcotest.test_case "campaign rejects bad shapes" `Quick
+            test_campaign_rejects_bad_shapes;
           Alcotest.test_case "campaign jobs deterministic" `Quick
             test_campaign_jobs_deterministic;
           Alcotest.test_case "mutant caught" `Quick test_mutant_caught;
