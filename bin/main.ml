@@ -81,6 +81,20 @@ let check_campaign_flags ~components ~readers ~writes ~scans ~schedules
   if expect_clean && expect_flagged then
     usage "--expect-clean and --expect-flagged are mutually exclusive"
 
+(* [byz] reports on which side of the tolerance boundary each profile
+   lands, and a run without writes or without scans cannot observe a
+   lie: every break profile would come out clean and the boundary would
+   read VIOLATED for the shape's sake.  The other campaigns accept zero
+   ops. *)
+let check_byz_shape ~writes ~scans =
+  if writes = 0 || scans = 0 then begin
+    Printf.eprintf
+      "byz: --writes = %d, --scans = %d; a Byzantine campaign needs both >= 1 \
+       (an empty workload cannot observe a lie)\n"
+      writes scans;
+    exit 2
+  end
+
 let pool_trace_arg =
   Arg.(
     value
@@ -1232,6 +1246,7 @@ let byz_cmd =
              control; combine with --expect-flagged).")
   in
   let plan faults tolerance unprotected (s : sweep_flags) =
+    check_byz_shape ~writes:s.writes ~scans:s.scans;
     {
       (* Explicit adversary specs build one ad-hoc profile; the
          expectation follows the expect flag so the boundary report

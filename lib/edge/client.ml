@@ -24,22 +24,29 @@ let read_exact t buf off len =
     | n -> got := !got + n
   done
 
-let request t req =
-  match
-    send_raw t (Wire.encode_request req);
-    let hdr = Bytes.create 4 in
-    read_exact t hdr 0 4;
-    match Wire.decode_length hdr with
-    | Error _ as e -> e
-    | Ok n ->
-      let payload = Bytes.create n in
-      read_exact t payload 0 n;
-      Wire.decode_response payload
-  with
+let guard f =
+  match f () with
   | r -> r
   | exception End_of_file -> Error "edge.client: server closed the connection"
   | exception Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "edge.client: %s" (Unix.error_message e))
+
+let read_response t =
+  let hdr = Bytes.create 4 in
+  read_exact t hdr 0 4;
+  match Wire.decode_length hdr with
+  | Error _ as e -> e
+  | Ok n ->
+    let payload = Bytes.create n in
+    read_exact t payload 0 n;
+    Wire.decode_response payload
+
+let receive t = guard (fun () -> read_response t)
+
+let request t req =
+  guard (fun () ->
+      send_raw t (Wire.encode_request req);
+      read_response t)
 
 let hello t =
   match request t Wire.Hello with

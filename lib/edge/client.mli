@@ -17,6 +17,10 @@ val request : t -> Wire.request -> (Wire.response, string) result
 (** Send one frame, block for the reply.  [Error _] on protocol
     violations or a closed peer. *)
 
+val receive : t -> (Wire.response, string) result
+(** Block for the next reply without sending — for tests that pipeline
+    frames with {!send_raw}.  Errors as {!request}. *)
+
 (** Typed wrappers over {!request}; an ['e'] response or a mismatched
     response kind is [Error _]. *)
 

@@ -1,6 +1,8 @@
 exception Cancelled
 
-type _ Effect.t += Await : Unix.file_descr * [ `R | `W ] -> unit Effect.t
+type _ Effect.t +=
+  | Await : Unix.file_descr * [ `R | `W ] -> unit Effect.t
+  | Yield : unit Effect.t
 
 type waiter = {
   wfd : Unix.file_descr;
@@ -11,17 +13,20 @@ type waiter = {
 type t = {
   mutable runnable : (unit -> unit) list;  (* in reverse arrival order *)
   mutable waiting : waiter list;
+  mutable yielded : (unit, unit) Effect.Deep.continuation list;
+      (* in reverse yield order *)
   mutable alive : int;
   on_error : exn -> unit;
 }
 
 let create ?(on_error = fun _ -> ()) () =
-  { runnable = []; waiting = []; alive = 0; on_error }
+  { runnable = []; waiting = []; yielded = []; alive = 0; on_error }
 
 let alive t = t.alive
 
 let await_readable fd = Effect.perform (Await (fd, `R))
 let await_writable fd = Effect.perform (Await (fd, `W))
+let yield () = Effect.perform Yield
 
 let spawn t f =
   t.alive <- t.alive + 1;
@@ -40,25 +45,31 @@ let spawn t f =
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   t.waiting <- { wfd; dir; k } :: t.waiting)
+            | Yield ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  t.yielded <- k :: t.yielded)
             | _ -> None);
       }
   in
   t.runnable <- fiber :: t.runnable
 
-let resume t w = t.runnable <- (fun () -> Effect.Deep.continue w.k ()) :: t.runnable
+let resume t k = t.runnable <- (fun () -> Effect.Deep.continue k ()) :: t.runnable
 
-let cancel t w =
-  t.runnable <- (fun () -> Effect.Deep.discontinue w.k Cancelled) :: t.runnable
+let cancel t k =
+  t.runnable <- (fun () -> Effect.Deep.discontinue k Cancelled) :: t.runnable
 
 let cancel_fd t fd =
   let gone, kept = List.partition (fun w -> w.wfd = fd) t.waiting in
   t.waiting <- kept;
-  List.iter (cancel t) gone
+  List.iter (fun w -> cancel t w.k) gone
 
 let cancel_all t =
-  let ws = t.waiting in
+  let ws = t.waiting and ys = t.yielded in
   t.waiting <- [];
-  List.iter (cancel t) ws
+  t.yielded <- [];
+  List.iter (fun w -> cancel t w.k) ws;
+  List.iter (cancel t) ys
 
 (* Run queued fibers to exhaustion.  Execution may queue more (spawns,
    or awaits becoming ready through [resume]), hence the loop. *)
@@ -70,7 +81,11 @@ let rec drain t =
     List.iter (fun f -> f ()) (List.rev batch);
     drain t
 
-let select_step t ~timeout =
+(* One select round: at most 20ms, or a poll while a fiber has yielded.
+   No fiber runs during the round, so every yielded fiber yielded before
+   it and resumes after the fibers it woke. *)
+let select_step t =
+  let timeout = if t.yielded = [] then 0.02 else 0. in
   let rs =
     List.filter_map (fun w -> if w.dir = `R then Some w.wfd else None) t.waiting
   and ws =
@@ -86,8 +101,11 @@ let select_step t ~timeout =
     in
     let ready, still = List.partition is_ready t.waiting in
     t.waiting <- still;
+    let yielded = t.yielded in
+    t.yielded <- [];
     (* Reverse so fibers resume in the order they started waiting. *)
-    List.iter (resume t) (List.rev ready)
+    List.iter (fun w -> resume t w.k) (List.rev ready);
+    List.iter (resume t) (List.rev yielded)
 
 let run ?(grace = 1.0) ?(on_stop = fun () -> ()) ~stop t =
   let deadline = ref None in
@@ -106,7 +124,7 @@ let run ?(grace = 1.0) ?(on_stop = fun () -> ()) ~stop t =
           | Some d -> now >= d
       in
       if past_grace then cancel_all t
-      else select_step t ~timeout:0.02;
+      else select_step t;
       loop ()
     end
   in

@@ -56,33 +56,58 @@ let stats t =
     fiber_errors = Atomic.get t.c.c_fiber;
   }
 
-(* Exact reads/writes over a non-blocking socket, suspending the fiber
-   whenever the kernel would block.  Peer resets surface as
-   [End_of_file], which the connection fiber treats as a disconnect. *)
-let rec read_exact fd buf off len =
-  if len > 0 then begin
-    Sched.await_readable fd;
-    match Unix.read fd buf off len with
-    | 0 -> raise End_of_file
-    | n -> read_exact fd buf (off + n) (len - n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      read_exact fd buf off len
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      raise End_of_file
-  end
-
+(* Socket I/O is optimistic: call [read]/[write] first, and await the
+   descriptor only when the kernel answers EAGAIN.  Peer resets surface
+   as [End_of_file], which the connection fiber treats as a disconnect. *)
 let rec write_all fd buf off len =
-  if len > 0 then begin
-    Sched.await_writable fd;
+  if len > 0 then
     match Unix.write fd buf off len with
     | n -> write_all fd buf (off + n) (len - n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Sched.await_writable fd;
       write_all fd buf off len
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf off len
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       raise End_of_file
+
+(* A connection's read buffer: bytes [pos, lim) of [buf] have arrived
+   and are not consumed yet. *)
+type inbuf = { mutable buf : bytes; mutable pos : int; mutable lim : int }
+
+let inbuf_size = 4096
+
+(* Buffer at least [need] unconsumed bytes ([need] <= [Wire.max_payload],
+   as [Wire.decode_length] checked).  One read takes whatever the socket
+   holds that fits, so a frame sent in one write arrives in one read. *)
+let rec fill fd ib need =
+  let have = ib.lim - ib.pos in
+  if have < need then begin
+    if have = 0 || ib.pos + need > Bytes.length ib.buf then begin
+      (* Move the rest to the front of a buffer sized for [need]: a large
+         frame grows it to the frame, and the next one shrinks it back. *)
+      let size = max need inbuf_size in
+      let dst = if Bytes.length ib.buf = size then ib.buf else Bytes.create size in
+      Bytes.blit ib.buf ib.pos dst 0 have;
+      ib.buf <- dst;
+      ib.pos <- 0;
+      ib.lim <- have
+    end;
+    (match Unix.read fd ib.buf ib.lim (Bytes.length ib.buf - ib.lim) with
+    | 0 -> raise End_of_file
+    | n -> ib.lim <- ib.lim + n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Sched.await_readable fd
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+      raise End_of_file);
+    fill fd ib need
   end
+
+(* The next [n] buffered bytes, consumed. *)
+let take ib n =
+  let b = Bytes.sub ib.buf ib.pos n in
+  ib.pos <- ib.pos + n;
+  b
 
 let send_response fd resp =
   let b = Wire.encode_response resp in
@@ -124,20 +149,19 @@ let serve_conn t ~worker fd =
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       try
-        let hdr = Bytes.create 4 in
+        let ib = { buf = Bytes.create inbuf_size; pos = 0; lim = 0 } in
         let continue = ref true in
         while !continue && not (Atomic.get t.stop) do
-          read_exact fd hdr 0 4;
-          match Wire.decode_length hdr with
+          fill fd ib 4;
+          match Wire.decode_length (take ib 4) with
           | Error msg ->
             (* Framing is gone: report, close, survive. *)
             Atomic.incr t.c.c_proto;
             send_response fd (Wire.Error msg);
             continue := false
           | Ok n -> (
-            let payload = Bytes.create n in
-            read_exact fd payload 0 n;
-            match Wire.decode_request payload with
+            fill fd ib n;
+            match Wire.decode_request (take ib n) with
             | Error msg ->
               Atomic.incr t.c.c_proto;
               send_response fd (Wire.Error msg);
@@ -152,7 +176,10 @@ let serve_conn t ~worker fd =
                   Atomic.incr t.c.c_op;
                   Wire.Error msg
               in
-              send_response fd resp)
+              send_response fd resp;
+              (* Bytes left over came pipelined behind this frame: give
+                 the domain's other fibers a select round before them. *)
+              if ib.lim > ib.pos then Sched.yield ())
         done
       with End_of_file -> ())
 
@@ -188,6 +215,10 @@ let worker_main t worker () =
 let start ?(config = default_config) b =
   if config.workers < 1 then
     invalid_arg "Edge.Server.start: workers must be >= 1";
+  (* A reply written to a peer that reset must fail with EPIPE, which
+     [write_all] turns into a disconnect, instead of killing the
+     process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen Unix.SO_REUSEADDR true;
   Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));

@@ -4,9 +4,20 @@
 
     Every worker selects on the shared non-blocking listen socket and
     accepts directly — no cross-domain dispatch, the kernel is the load
-    balancer — then serves each connection as a fiber: read a
-    length-prefixed frame, decode, execute against the {!Backend},
-    reply.  A malformed frame gets an ['e'] response and a closed
+    balancer — then serves each connection as a fiber: take a
+    length-prefixed frame from the connection's read buffer, decode,
+    execute against the {!Backend}, reply.
+
+    Socket I/O is optimistic.  One read fills the buffer with whatever
+    the socket holds (it starts at 4 KiB and grows to a larger frame,
+    at most {!Wire.max_payload}, while that frame is read), so a frame
+    sent in one write is one read.  Reads and writes go first, and the
+    fiber awaits its descriptor only on [EAGAIN].  A frame already in
+    the buffer when the previous reply is sent (a pipelining client)
+    is served only after a {!Sched.yield}, so one connection cannot
+    starve the acceptor or the others on its worker.
+
+    A malformed frame gets an ['e'] response and a closed
     connection; the server survives and counts it.  Backend
     [Invalid_argument] (e.g. component out of range) is returned as an
     ['e'] response with the connection kept open.
@@ -42,7 +53,10 @@ type stats = {
 type t
 
 val start : ?config:config -> Backend.t -> t
-(** Bind [127.0.0.1] on an ephemeral port, listen, spawn the workers. *)
+(** Bind [127.0.0.1] on an ephemeral port, listen, spawn the workers.
+    Sets [SIGPIPE] to ignored for the whole process, so that writing to
+    a peer that reset is an [EPIPE] error (a disconnect), not a fatal
+    signal. *)
 
 val port : t -> int
 val backend : t -> Backend.t

@@ -2,8 +2,11 @@
    (Workload.Loadgen): wire-protocol totality, request/response
    round-trips per backend over real loopback sockets, malformed-frame
    and mid-request-disconnect survival with intact accounting
-   identities, loadgen plan determinism, SLO verdict plumbing, and the
-   monotonic-clock regression pin for Exec.Pool spans. *)
+   identities, framing through the server's read buffer (pipelined,
+   fragmented, oversized and cut frames), scheduler fairness under
+   [Sched.yield] and a pipelining flood, loadgen plan determinism, SLO
+   verdict plumbing, and the monotonic-clock regression pin for
+   Exec.Pool spans. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -228,6 +231,22 @@ let test_reshard_not_supported () =
 (* Malformed frames and mid-request disconnects                      *)
 (* ---------------------------------------------------------------- *)
 
+let pause s = ignore (Unix.select [] [] [] s)
+
+(* Poll the server's counters until [ready] holds: a disconnect is
+   counted after the fiber closes its socket, which can be after the
+   client saw the close. *)
+let settle_stats srv ready =
+  let rec go tries =
+    let st = Edge.Server.stats srv in
+    if ready st || tries = 0 then st
+    else begin
+      pause 0.01;
+      go (tries - 1)
+    end
+  in
+  go 500
+
 let test_malformed_frame () =
   with_server (Edge.Backend.of_serve ~shards:2 ~workers:2 ~init:init4 ())
     (fun srv ->
@@ -257,15 +276,7 @@ let test_malformed_frame () =
       let snap = ok_or_fail "scan after abuse" (Edge.Client.scan c3) in
       check int "arity" 4 (Array.length snap);
       Edge.Client.close c3;
-      let rec settle tries =
-        let st = Edge.Server.stats srv in
-        if st.Edge.Server.protocol_errors >= 2 || tries = 0 then st
-        else begin
-          ignore (Unix.select [] [] [] 0.01);
-          settle (tries - 1)
-        end
-      in
-      let st = settle 200 in
+      let st = settle_stats srv (fun st -> st.Edge.Server.protocol_errors >= 2) in
       check int "both abuses counted" 2 st.Edge.Server.protocol_errors)
 
 let test_mid_request_disconnect () =
@@ -288,6 +299,289 @@ let test_mid_request_disconnect () =
       check bool "id assigned" true (id > 0);
       Edge.Client.close c3)
 (* identities re-checked by with_server at shutdown *)
+
+(* ---------------------------------------------------------------- *)
+(* Framing through the connection's read buffer                      *)
+(* ---------------------------------------------------------------- *)
+
+(* A client whose reads and writes give up after 5s, so a server that
+   never answers fails the test instead of hanging it. *)
+let raw_connect srv =
+  let c = Edge.Client.connect ~port:(Edge.Server.port srv) () in
+  Unix.setsockopt_float (Edge.Client.fd c) Unix.SO_RCVTIMEO 5.0;
+  Unix.setsockopt_float (Edge.Client.fd c) Unix.SO_SNDTIMEO 5.0;
+  c
+
+let frames reqs = Bytes.concat Bytes.empty (List.map Edge.Wire.encode_request reqs)
+
+let recv c = ok_or_fail "reply" (Edge.Client.receive c)
+
+(* The server closed [c]: a read sees end of file or a reset. *)
+let closed_by_server c =
+  match Unix.read (Edge.Client.fd c) (Bytes.create 1) 0 1 with
+  | 0 -> true
+  | _ -> false
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+
+let serve4 () = Edge.Backend.of_serve ~shards:2 ~workers:2 ~init:init4 ()
+
+(* 50 requests in one write: every reply comes back, in order, and each
+   scan sees every synchronous write sent before it. *)
+let test_pipelined_burst () =
+  with_server (serve4 ()) (fun srv ->
+      let c = raw_connect srv in
+      Fun.protect
+        ~finally:(fun () -> Edge.Client.close c)
+        (fun () ->
+          let reqs =
+            List.init 50 (fun i ->
+                match i mod 4 with
+                | 0 -> Edge.Wire.Hello
+                | 1 -> Edge.Wire.Write { component = i mod 3; value = 1000 + i }
+                | 2 -> Edge.Wire.Post { component = 3; value = 2000 + i }
+                | _ -> Edge.Wire.Scan)
+          in
+          Edge.Client.send_raw c (frames reqs);
+          let expect = Array.copy init4 in
+          List.iteri
+            (fun i req ->
+              match (req, recv c) with
+              | Edge.Wire.Hello, Edge.Wire.Hello_ok { components } ->
+                check int "hello" 4 components
+              | Edge.Wire.Write { component; value }, Edge.Wire.Write_ok _ ->
+                expect.(component) <- value
+              | Edge.Wire.Post _, Edge.Wire.Post_ok -> ()
+              | Edge.Wire.Scan, Edge.Wire.Scan_ok snap ->
+                for k = 0 to 2 do
+                  check int
+                    (Printf.sprintf "reply %d: component %d" i k)
+                    expect.(k) (fst snap.(k))
+                done
+              | _ -> Alcotest.failf "reply %d does not answer its request" i)
+            reqs;
+          let count p = List.length (List.filter p reqs) in
+          let st = Edge.Server.stats srv in
+          check int "hellos" (count (( = ) Edge.Wire.Hello)) st.Edge.Server.hellos;
+          check int "writes"
+            (count (function Edge.Wire.Write _ -> true | _ -> false))
+            st.Edge.Server.writes;
+          check int "posts"
+            (count (function Edge.Wire.Post _ -> true | _ -> false))
+            st.Edge.Server.posts;
+          check int "scans" (count (( = ) Edge.Wire.Scan)) st.Edge.Server.scans;
+          check int "no protocol errors" 0 st.Edge.Server.protocol_errors))
+
+(* Frames that arrive in pieces: a Scan and a Write one byte at a time,
+   and a Write whose header and payload come in separate writes. *)
+let test_fragmented_frames () =
+  with_server (serve4 ()) (fun srv ->
+      let c = raw_connect srv in
+      Fun.protect
+        ~finally:(fun () -> Edge.Client.close c)
+        (fun () ->
+          let dribble req =
+            Bytes.iter
+              (fun ch ->
+                Edge.Client.send_raw c (Bytes.make 1 ch);
+                pause 0.002)
+              (frames [ req ])
+          in
+          dribble Edge.Wire.Scan;
+          (match recv c with
+          | Edge.Wire.Scan_ok snap -> check int "arity" 4 (Array.length snap)
+          | _ -> Alcotest.fail "byte-wise scan not answered with a snapshot");
+          dribble (Edge.Wire.Write { component = 0; value = 5 });
+          (match recv c with
+          | Edge.Wire.Write_ok _ -> ()
+          | _ -> Alcotest.fail "byte-wise write not acked");
+          let w = frames [ Edge.Wire.Write { component = 1; value = 6 } ] in
+          Edge.Client.send_raw c (Bytes.sub w 0 4);
+          pause 0.02;
+          Edge.Client.send_raw c (Bytes.sub w 4 (Bytes.length w - 4));
+          (match recv c with
+          | Edge.Wire.Write_ok _ -> ()
+          | _ -> Alcotest.fail "split write not acked");
+          let snap = ok_or_fail "scan" (Edge.Client.scan c) in
+          check int "byte-wise write landed" 5 (fst snap.(0));
+          check int "split write landed" 6 (fst snap.(1));
+          let st = Edge.Server.stats srv in
+          check int "writes" 2 st.Edge.Server.writes;
+          check int "scans" 2 st.Edge.Server.scans;
+          check int "no protocol errors" 0 st.Edge.Server.protocol_errors))
+
+(* A 64 KiB frame (past the buffer's initial size) with an unknown
+   opcode: an ['e'] reply, a close, one protocol error. *)
+let test_large_unknown_opcode () =
+  with_server (serve4 ()) (fun srv ->
+      let c = raw_connect srv in
+      Fun.protect
+        ~finally:(fun () -> Edge.Client.close c)
+        (fun () ->
+          let n = 64 * 1024 in
+          let b = Bytes.make (4 + n) 'x' in
+          Bytes.set_int32_be b 0 (Int32.of_int n);
+          Bytes.set b 4 'Z';
+          Edge.Client.send_raw c b;
+          (match recv c with
+          | Edge.Wire.Error _ -> ()
+          | _ -> Alcotest.fail "unknown opcode not answered with 'e'");
+          check bool "connection closed" true (closed_by_server c);
+          let st = settle_stats srv (fun st -> st.Edge.Server.disconnects = 1) in
+          check int "one protocol error" 1 st.Edge.Server.protocol_errors;
+          check int "one disconnect" 1 st.Edge.Server.disconnects))
+
+(* End of file inside a frame that sits behind a complete one in the
+   buffer: the complete frame is answered, the cut one is a disconnect
+   and not a protocol error. *)
+let test_eof_inside_buffered_frame () =
+  with_server (serve4 ()) (fun srv ->
+      let c = raw_connect srv in
+      Fun.protect
+        ~finally:(fun () -> Edge.Client.close c)
+        (fun () ->
+          let w = frames [ Edge.Wire.Write { component = 0; value = 9 } ] in
+          Edge.Client.send_raw c
+            (Bytes.cat (frames [ Edge.Wire.Scan ]) (Bytes.sub w 0 9));
+          Unix.shutdown (Edge.Client.fd c) Unix.SHUTDOWN_SEND;
+          (match recv c with
+          | Edge.Wire.Scan_ok _ -> ()
+          | _ -> Alcotest.fail "complete frame not answered");
+          check bool "connection closed" true (closed_by_server c);
+          let st = settle_stats srv (fun st -> st.Edge.Server.disconnects = 1) in
+          check int "a disconnect" 1 st.Edge.Server.disconnects;
+          check int "not a protocol error" 0 st.Edge.Server.protocol_errors;
+          check int "the cut write never ran" 0 st.Edge.Server.writes;
+          check int "the scan ran" 1 st.Edge.Server.scans))
+
+(* A client that pipelines requests and closes without reading: the
+   server's replies meet a reset peer, which is a disconnect and must
+   not take the process down. *)
+let test_reset_peer_mid_pipeline () =
+  with_server (serve4 ()) (fun srv ->
+      for _ = 1 to 20 do
+        let c = raw_connect srv in
+        Edge.Client.send_raw c (frames (List.init 50 (fun _ -> Edge.Wire.Scan)));
+        Edge.Client.close c
+      done;
+      let st = settle_stats srv (fun st -> st.Edge.Server.disconnects = 20) in
+      check int "every connection ended" 20 st.Edge.Server.disconnects;
+      check int "no protocol errors" 0 st.Edge.Server.protocol_errors;
+      let c = raw_connect srv in
+      let snap = ok_or_fail "scan after the resets" (Edge.Client.scan c) in
+      check int "arity" 4 (Array.length snap);
+      Edge.Client.close c)
+
+(* ---------------------------------------------------------------- *)
+(* Fairness: Sched.yield and a pipelining flood                      *)
+(* ---------------------------------------------------------------- *)
+
+(* A fiber that yields in a loop lets a fiber whose descriptor is ready
+   run first, and its rounds poll instead of sleeping 20ms each. *)
+let test_sched_yield_fair () =
+  let s = Edge.Sched.create () in
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      Unix.set_nonblock r;
+      ignore (Unix.write_substring w "x" 0 1);
+      let log = ref [] in
+      Edge.Sched.spawn s (fun () ->
+          for _ = 1 to 200 do
+            Edge.Sched.yield ()
+          done;
+          log := "yielder" :: !log);
+      Edge.Sched.spawn s (fun () ->
+          Edge.Sched.await_readable r;
+          log := "reader" :: !log);
+      let t0 = Obs.Mono.now_s () in
+      Edge.Sched.run s ~stop:(fun () -> false);
+      check
+        Alcotest.(list string)
+        "the ready fiber finished first" [ "reader"; "yielder" ] (List.rev !log);
+      check bool "200 yields take well under 200 x 20ms" true
+        (Obs.Mono.now_s () -. t0 < 1.0);
+      check int "no fiber left" 0 (Edge.Sched.alive s))
+
+(* Shutdown cancels a fiber that only ever yields. *)
+let test_sched_cancels_yielded () =
+  let s = Edge.Sched.create () in
+  let cancelled = ref false in
+  Edge.Sched.spawn s (fun () ->
+      try
+        while true do
+          Edge.Sched.yield ()
+        done
+      with Edge.Sched.Cancelled ->
+        cancelled := true;
+        raise Edge.Sched.Cancelled);
+  Edge.Sched.run s ~grace:0.05 ~stop:(fun () -> true);
+  check bool "cancelled at the grace deadline" true !cancelled;
+  check int "no fiber left" 0 (Edge.Sched.alive s)
+
+(* One worker domain, one client flooding pipelined posts (and draining
+   the replies): a second connection is still accepted and answered,
+   and shutdown ends the flood within the grace period. *)
+let test_flood_does_not_starve () =
+  let grace = 1.0 in
+  let srv =
+    Edge.Server.start
+      ~config:{ Edge.Server.default_config with workers = 1; grace }
+      (serve4 ())
+  in
+  let flood = raw_connect srv in
+  let fd = Edge.Client.fd flood in
+  let stop = Atomic.make false in
+  let batch =
+    frames
+      (List.init 256 (fun i -> Edge.Wire.Post { component = i mod 4; value = i }))
+  in
+  let writer =
+    Domain.spawn (fun () ->
+        try
+          while not (Atomic.get stop) do
+            Edge.Client.send_raw flood batch
+          done
+        with Unix.Unix_error _ -> ())
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let buf = Bytes.create 65536 in
+        try
+          while (not (Atomic.get stop)) && Unix.read fd buf 0 65536 > 0 do
+            ()
+          done
+        with Unix.Unix_error _ -> ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Edge.Server.shutdown srv);
+      Domain.join writer;
+      Domain.join reader;
+      Edge.Client.close flood)
+    (fun () ->
+      let st = settle_stats srv (fun st -> st.Edge.Server.posts >= 5000) in
+      check bool "the flood is being served" true (st.Edge.Server.posts >= 5000);
+      let t0 = Obs.Mono.now_s () in
+      let c = raw_connect srv in
+      let components = ok_or_fail "hello during the flood" (Edge.Client.hello c) in
+      let snap = ok_or_fail "scan during the flood" (Edge.Client.scan c) in
+      Edge.Client.close c;
+      check int "hello answered" 4 components;
+      check int "scan answered" 4 (Array.length snap);
+      check bool "answered within 5s" true (Obs.Mono.now_s () -. t0 < 5.0);
+      let t1 = Obs.Mono.now_s () in
+      (match Edge.Server.shutdown srv with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "identities broken at shutdown: %s" m);
+      check bool "shutdown within grace" true (Obs.Mono.now_s () -. t1 < grace);
+      let st = Edge.Server.stats srv in
+      check int "both connections accepted" 2 st.Edge.Server.accepted;
+      check int "accepted = disconnects" st.Edge.Server.accepted
+        st.Edge.Server.disconnects)
 
 (* ---------------------------------------------------------------- *)
 (* Loadgen: plan determinism and execution                           *)
@@ -469,6 +763,28 @@ let () =
           Alcotest.test_case "malformed frames" `Quick test_malformed_frame;
           Alcotest.test_case "mid-request disconnect" `Quick
             test_mid_request_disconnect;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "50 requests in one write" `Quick
+            test_pipelined_burst;
+          Alcotest.test_case "byte-wise and split frames" `Quick
+            test_fragmented_frames;
+          Alcotest.test_case "64 KiB unknown opcode" `Quick
+            test_large_unknown_opcode;
+          Alcotest.test_case "eof inside a buffered frame" `Quick
+            test_eof_inside_buffered_frame;
+          Alcotest.test_case "reset peer mid-pipeline" `Quick
+            test_reset_peer_mid_pipeline;
+        ] );
+      ( "fairness",
+        [
+          Alcotest.test_case "yield lets ready fibers run" `Quick
+            test_sched_yield_fair;
+          Alcotest.test_case "yielded fibers are cancelled" `Quick
+            test_sched_cancels_yielded;
+          Alcotest.test_case "pipelining flood does not starve" `Quick
+            test_flood_does_not_starve;
         ] );
       ( "loadgen",
         [
