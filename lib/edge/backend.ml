@@ -5,6 +5,7 @@ type t = {
   write : worker:int -> component:int -> int -> int;
   post : worker:int -> component:int -> int -> unit;
   scan : worker:int -> (int * int) array;
+  drain_ready : worker:int -> bool;
   shutdown : unit -> unit;
   identities_ok : unit -> (unit, string) result;
   counters : unit -> (string * int) list;
@@ -49,6 +50,7 @@ let of_handle ~label ~workers (h : int Composite.Snapshot.t) =
     write;
     post = (fun ~worker ~component v -> ignore (write ~worker ~component v : int));
     scan;
+    drain_ready = (fun ~worker:_ -> false);
     shutdown = (fun () -> ());
     identities_ok = (fun () -> Ok ());
     counters = (fun () -> []);
@@ -56,8 +58,10 @@ let of_handle ~label ~workers (h : int Composite.Snapshot.t) =
 
 let of_serve ?outer ?max_shards ~shards ~workers ~init () =
   if workers < 1 then invalid_arg "Edge.Backend.of_serve: workers must be >= 1";
+  (* No applier domain: each worker publishes the posts waiting in the
+     mailboxes just before it blocks ([drain_ready]), sync writes drain
+     themselves, and [shutdown] is a manual drain. *)
   let srv = Serve.create ?outer ?max_shards ~shards ~readers:workers ~init () in
-  Serve.start srv;
   let components = Array.length init in
   let label =
     Printf.sprintf "serve[S=%d,%s]" shards
@@ -101,7 +105,8 @@ let of_serve ?outer ?max_shards ~shards ~workers ~init () =
     write;
     post;
     scan;
-    shutdown = (fun () -> Serve.shutdown srv);
+    drain_ready = (fun ~worker:_ -> Serve.drain_ready srv);
+    shutdown = (fun () -> Serve.drain srv);
     identities_ok = (fun () -> Serve.check_identities srv);
     counters;
   }

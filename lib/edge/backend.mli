@@ -25,9 +25,15 @@ type t = {
           has no async channel) *)
   scan : worker:int -> (int * int) array;
       (** one linearizable snapshot: per component (value, aux id) *)
+  drain_ready : worker:int -> bool;
+      (** publish, without waiting, what [post] left unpublished; the
+          server calls it on each worker just before that worker blocks
+          in [select].  Returns whether work was left behind (the
+          worker then polls instead of blocking); [false] where posts
+          are synchronous *)
   shutdown : unit -> unit;
       (** quiesce and release; called once, after all ops have
-          returned *)
+          returned and the workers have stopped *)
   identities_ok : unit -> (unit, string) result;
       (** exact accounting identities at quiescence (after
           [shutdown]); [Ok ()] where a backend has none to check *)
@@ -55,10 +61,16 @@ val of_serve :
   init:int array ->
   unit ->
   t
-(** Create {e and start} a sharded serving instance with [workers]
-    readers; [post] is the wait-free mailbox channel ({!Serve.post}).
-    [max_shards] (default [shards]) bounds what the [caps.reconfigure]
-    capability — wired to {!Serve.reshard} — may grow the service to.
-    [shutdown] drains the appliers; [identities_ok] is then
+(** A sharded serving instance with [workers] readers, run with no
+    applier domain ({!Serve} in manual mode).  [post] is the wait-free
+    mailbox channel ({!Serve.post}), and the server's workers publish
+    posts themselves: [drain_ready] is {!Serve.drain_ready}, which each
+    worker calls before it blocks, so a post is published on the worker
+    that took it, right after its reply is sent.  [write] is
+    {!Serve.update}, which drains its own shard.  [max_shards]
+    (default [shards]) bounds what the [caps.reconfigure] capability —
+    wired to {!Serve.reshard} — may grow the service to.  [shutdown] is
+    a manual {!Serve.drain} of whatever posts are still pending once
+    the workers have stopped; [identities_ok] is then
     {!Serve.check_identities}: the lifetime totals and every per-epoch
     slice of {!Serve.epoch_stats}. *)

@@ -81,11 +81,13 @@ let rec drain t =
     List.iter (fun f -> f ()) (List.rev batch);
     drain t
 
-(* One select round: at most 20ms, or a poll while a fiber has yielded.
-   No fiber runs during the round, so every yielded fiber yielded before
-   it and resumes after the fibers it woke. *)
-let select_step t =
-  let timeout = if t.yielded = [] then 0.02 else 0. in
+(* One select round: at most 20ms, or a poll while a fiber has yielded
+   or [before_select] left work behind.  No fiber runs during the round,
+   so every yielded fiber yielded before it and resumes after the fibers
+   it woke. *)
+let select_step t ~before_select =
+  let left_work = before_select () in
+  let timeout = if t.yielded = [] && not left_work then 0.02 else 0. in
   let rs =
     List.filter_map (fun w -> if w.dir = `R then Some w.wfd else None) t.waiting
   and ws =
@@ -107,7 +109,8 @@ let select_step t =
     List.iter (fun w -> resume t w.k) (List.rev ready);
     List.iter (resume t) (List.rev yielded)
 
-let run ?(grace = 1.0) ?(on_stop = fun () -> ()) ~stop t =
+let run ?(grace = 1.0) ?(on_stop = fun () -> ()) ?(before_select = fun () -> false)
+    ~stop t =
   let deadline = ref None in
   let rec loop () =
     drain t;
@@ -124,7 +127,7 @@ let run ?(grace = 1.0) ?(on_stop = fun () -> ()) ~stop t =
           | Some d -> now >= d
       in
       if past_grace then cancel_all t
-      else select_step t;
+      else select_step t ~before_select;
       loop ()
     end
   in

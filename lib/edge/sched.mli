@@ -51,11 +51,24 @@ val alive : t -> int
 (** Fibers spawned and not yet finished. *)
 
 val run :
-  ?grace:float -> ?on_stop:(unit -> unit) -> stop:(unit -> bool) -> t -> unit
+  ?grace:float ->
+  ?on_stop:(unit -> unit) ->
+  ?before_select:(unit -> bool) ->
+  stop:(unit -> bool) ->
+  t ->
+  unit
 (** Run fibers until none remain.  Once [stop ()] first returns [true],
     [on_stop] fires (use it to {!cancel_fd} the accept socket), and
     fibers still blocked or yielded after [grace] seconds (default
     1.0) are cancelled; fibers that finish on their own (e.g. because
-    the peer closed) need no cancellation.  [stop] is polled between
-    select rounds, which block at most 20ms, and not at all while a
-    fiber has yielded. *)
+    the peer closed) need no cancellation.
+
+    [before_select] (default: nothing to do) runs once per round, after
+    the round's fibers have run and just before [select]: the server
+    publishes the posts its fibers left in [Serve]'s mailboxes there.
+    It returns whether it left work behind (e.g. a drain token that
+    was busy); if so, that round polls with a zero timeout, as it does
+    while a fiber has yielded, so the work never waits out a blocking
+    round.  [stop] is polled between select rounds, which block at
+    most 20ms, and not at all while a fiber has yielded or
+    [before_select] has left work behind. *)

@@ -210,6 +210,7 @@ let worker_main t worker () =
   Sched.spawn sched (acceptor t ~worker sched);
   Sched.run sched ~grace:t.cfg.grace
     ~on_stop:(fun () -> Sched.cancel_fd sched t.listen)
+    ~before_select:(fun () -> t.b.Backend.drain_ready ~worker)
     ~stop:(fun () -> Atomic.get t.stop)
 
 let start ?(config = default_config) b =

@@ -17,6 +17,13 @@
     is served only after a {!Sched.yield}, so one connection cannot
     starve the acceptor or the others on its worker.
 
+    Each worker calls the backend's [drain_ready] once per scheduler
+    round, just before it blocks in [select] ({!Sched.run}'s
+    [before_select]): over {!Backend.of_serve} that publishes the posts
+    the round's fibers left in the mailboxes, on the same worker and
+    with no applier domain.  If it left a post behind a busy drain
+    token, the round polls instead of blocking.
+
     A malformed frame gets an ['e'] response and a closed
     connection; the server survives and counts it.  Backend
     [Invalid_argument] (e.g. component out of range) is returned as an
@@ -25,8 +32,8 @@
     {!shutdown} is graceful: stop accepting, give in-flight fibers a
     grace period (connections closed by their clients finish
     immediately), cancel stragglers, join the workers, then shut the
-    backend down — which drains its mailboxes — and finally report the
-    backend's accounting identities. *)
+    backend down — which drains what is left in its mailboxes — and
+    finally report the backend's accounting identities. *)
 
 type config = {
   workers : int;  (** worker domains (≥ 1) *)

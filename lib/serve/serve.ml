@@ -405,10 +405,13 @@ let release_token t s = Atomic.set t.tokens.(s) false
 
 (* With shard [s]'s token held: drain the shard unless a reshard has
    moved the epoch past [epoch] (the caller picked [s] from that
-   epoch's layout, which has since been swapped), then release. *)
+   epoch's layout, which has since been swapped), then release.
+   Returns whether the epoch was unchanged, i.e. whether it drained. *)
 let drain_held t ~epoch s =
-  if Atomic.get t.cur_epoch = epoch then ignore (drain_shard t s : bool);
-  release_token t s
+  let current = Atomic.get t.cur_epoch = epoch in
+  if current then ignore (drain_shard t s : bool);
+  release_token t s;
+  current
 
 let drain t =
   if t.appliers <> [] then
@@ -418,8 +421,27 @@ let drain t =
   let epoch = Atomic.get t.cur_epoch in
   for s = 0 to t.cur_shards - 1 do
     take_token t s;
-    drain_held t ~epoch s
+    ignore (drain_held t ~epoch s : bool)
   done
+
+(* A read-only pass finds the posts waiting, and only their shards'
+   tokens are tried, so an idle call writes no shared cache line and
+   allocates nothing.  As in [update], the epoch is read before the
+   owner map and re-read under the token.  A post is left behind when
+   its shard's token is busy or the epoch moved; the caller polls
+   again. *)
+let drain_ready t =
+  let epoch = Atomic.get t.cur_epoch in
+  let owner = t.owner in
+  let left = ref false in
+  for k = 0 to t.components - 1 do
+    match Atomic.get t.mailboxes.(k) with
+    | None -> ()
+    | Some _ ->
+      let s = owner.(k) in
+      if not (try_token t s && drain_held t ~epoch s) then left := true
+  done;
+  !left
 
 let applier t s () =
   let b = Backoff.make t.stalls in
@@ -475,7 +497,8 @@ let update t ~writer v =
     else begin
       let epoch = Atomic.get t.cur_epoch in
       let s = t.owner.(writer) in
-      if try_token t s then drain_held t ~epoch s else Backoff.once b;
+      if try_token t s then ignore (drain_held t ~epoch s : bool)
+      else Backoff.once b;
       wait ()
     end
   in

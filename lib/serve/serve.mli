@@ -24,8 +24,8 @@
     new view with a single outer-register update.  Each shard has one
     {e drain token}, and only its holder may drain the shard: the
     shard's {e applier} domain ({!start}) takes it on every poll,
-    {!drain} and {!reshard} take it, and so does a synchronous
-    {!update}.  Posts to a component that arrive while an
+    {!drain}, {!drain_ready} and {!reshard} take it, and so does a
+    synchronous {!update}.  Posts to a component that arrive while an
     earlier post is still in the mailbox {e coalesce}: the mailbox
     keeps only the latest value and the earlier one is counted in the
     coalesce counters.  Because the exchange is atomic, every post is
@@ -295,6 +295,20 @@ val drain : 'a t -> unit
     drain with every mailbox empty allocates nothing.  Raises
     [Invalid_argument] if appliers are running: they own the polling,
     and manual mode is for the caller's own schedule. *)
+
+val drain_ready : 'a t -> bool
+(** Drain, on the calling thread, every shard that has a post waiting,
+    without waiting for anything: a shard's token is tried (never
+    waited for) only after a read-only pass has seen a non-empty
+    mailbox of that shard, so a call with every mailbox empty writes
+    no shared state, publishes nothing and allocates nothing.  The
+    epoch is read before the owner map and re-checked under each
+    token, as in {!update}.  Returns [true] iff a post was left
+    behind: its shard's token was busy (another drainer, a synchronous
+    {!update}, a {!reshard}) or a reshard moved the epoch under the
+    call; the caller should call again soon.  This is how the network
+    edge publishes posts on its own workers ([Edge.Backend.of_serve]),
+    with no applier domain. *)
 
 (** {2 Accounting}
 

@@ -4,9 +4,10 @@
    and mid-request-disconnect survival with intact accounting
    identities, framing through the server's read buffer (pipelined,
    fragmented, oversized and cut frames), scheduler fairness under
-   [Sched.yield] and a pipelining flood, loadgen plan determinism, SLO
-   verdict plumbing, and the monotonic-clock regression pin for
-   Exec.Pool spans. *)
+   [Sched.yield] and a pipelining flood, posts published by the workers
+   with no applier domain and an idle edge's CPU cost, loadgen plan
+   determinism, SLO verdict plumbing, and the monotonic-clock
+   regression pin for Exec.Pool spans. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -115,7 +116,8 @@ let roundtrip_on backend () =
           check bool "write assigns a positive id" true (id1 > 0);
           ok_or_fail "post" (Edge.Client.post c ~component:2 222);
           (* The snapshot must eventually contain both values: the write
-             is synchronous, the post may lag one applier drain. *)
+             is synchronous, the post is published by a worker's drain
+             before it next blocks in select. *)
           let rec settle tries =
             let snap = ok_or_fail "scan" (Edge.Client.scan c) in
             check int "snapshot arity" 4 (Array.length snap);
@@ -293,7 +295,7 @@ let test_mid_request_disconnect () =
       Edge.Client.send_raw c2 (Bytes.sub full 0 4);
       Edge.Client.close c2;
       (* Server unaffected; a synchronous write still completes, which
-         also proves the appliers are healthy. *)
+         also proves the drain tokens were not left held. *)
       let c3 = Edge.Client.connect ~port () in
       let id = ok_or_fail "write after disconnects" (Edge.Client.write c3 ~component:0 77) in
       check bool "id assigned" true (id > 0);
@@ -583,6 +585,96 @@ let test_flood_does_not_starve () =
       check int "accepted = disconnects" st.Edge.Server.accepted
         st.Edge.Server.disconnects)
 
+(* [before_select] runs once per round, and a round after it reports
+   work left behind polls instead of blocking: 100 such rounds take well
+   under 100 x 20ms.  The hook makes the awaited pipe readable in its
+   100th round, which ends the run. *)
+let test_sched_before_select_polls () =
+  let s = Edge.Sched.create () in
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      Unix.set_nonblock r;
+      Edge.Sched.spawn s (fun () -> Edge.Sched.await_readable r);
+      let rounds = ref 0 in
+      let before_select () =
+        incr rounds;
+        if !rounds < 100 then true
+        else begin
+          ignore (Unix.write_substring w "x" 0 1);
+          false
+        end
+      in
+      let t0 = Obs.Mono.now_s () in
+      Edge.Sched.run s ~before_select ~stop:(fun () -> false);
+      check int "once per round" 100 !rounds;
+      check bool "work left behind makes the round a poll" true
+        (Obs.Mono.now_s () -. t0 < 1.0);
+      check int "no fiber left" 0 (Edge.Sched.alive s))
+
+(* ---------------------------------------------------------------- *)
+(* No applier domain: the workers publish posts                      *)
+(* ---------------------------------------------------------------- *)
+
+(* Two connections post to components of both shards, then go quiet
+   with their connections open.  Nothing but the workers' pre-select
+   drains can publish those posts before shutdown, and within 1 s they
+   must all be applied and visible to a fresh connection's scan. *)
+let test_posts_applied_by_workers () =
+  let backend = Edge.Backend.of_serve ~shards:2 ~workers:2 ~init:init4 () in
+  with_server backend (fun srv ->
+      let port = Edge.Server.port srv in
+      let a = Edge.Client.connect ~port () and b = Edge.Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () ->
+          Edge.Client.close a;
+          Edge.Client.close b)
+        (fun () ->
+          for i = 1 to 50 do
+            ok_or_fail "post" (Edge.Client.post a ~component:0 (1000 + i));
+            ok_or_fail "post" (Edge.Client.post a ~component:2 (2000 + i));
+            ok_or_fail "post" (Edge.Client.post b ~component:1 (3000 + i));
+            ok_or_fail "post" (Edge.Client.post b ~component:3 (4000 + i))
+          done;
+          let counter name = List.assoc name (backend.Edge.Backend.counters ()) in
+          let settled () =
+            counter "pending" = 0
+            && counter "applied" + counter "coalesced" = counter "posted"
+          in
+          let deadline = Obs.Mono.now_s () +. 1.0 in
+          while (not (settled ())) && Obs.Mono.now_s () < deadline do
+            pause 0.005
+          done;
+          check bool "within 1 s: pending = 0 and applied + coalesced = posted"
+            true (settled ());
+          check int "posted" 200 (counter "posted");
+          let c = Edge.Client.connect ~port () in
+          let snap = ok_or_fail "scan" (Edge.Client.scan c) in
+          Edge.Client.close c;
+          check (Alcotest.array int) "every last posted value"
+            [| 1050; 3050; 2050; 4050 |] (Array.map fst snap)))
+
+(* A started edge over [of_serve] with no traffic runs no applier
+   domain, and its workers wake only at the select timeout: over 1 s it
+   must use less than 0.03 CPU s. *)
+let test_idle_cpu () =
+  with_server (Edge.Backend.of_serve ~shards:2 ~workers:2 ~init:init4 ())
+    (fun _ ->
+      let cpu () =
+        let t = Unix.times () in
+        t.Unix.tms_utime +. t.Unix.tms_stime
+      in
+      pause 0.2;
+      let c0 = cpu () in
+      pause 1.0;
+      let used = cpu () -. c0 in
+      check bool
+        (Printf.sprintf "idle edge used %.3f CPU s over 1 s (< 0.03)" used)
+        true (used < 0.03))
+
 (* ---------------------------------------------------------------- *)
 (* Loadgen: plan determinism and execution                           *)
 (* ---------------------------------------------------------------- *)
@@ -785,6 +877,14 @@ let () =
             test_sched_cancels_yielded;
           Alcotest.test_case "pipelining flood does not starve" `Quick
             test_flood_does_not_starve;
+          Alcotest.test_case "before_select left work: poll" `Quick
+            test_sched_before_select_polls;
+        ] );
+      ( "no applier",
+        [
+          Alcotest.test_case "workers publish posts" `Quick
+            test_posts_applied_by_workers;
+          Alcotest.test_case "idle CPU" `Quick test_idle_cpu;
         ] );
       ( "loadgen",
         [

@@ -177,17 +177,75 @@ let test_update_manual_mode () =
   check (Alcotest.array int) "scan shows both values" [| 8; 9 |]
     (Composite.Item.values items)
 
+(* [drain_ready], the network edge's publish before each [select]: one
+   call applies the posts waiting in every shard, only shards that had
+   a post publish, and after each reshard it drains under the new
+   epoch's layout. *)
+let test_drain_ready_all_shards () =
+  let srv =
+    Serve.create ~shards:2 ~max_shards:4 ~readers:1 ~init:[| 0; 0; 0; 0 |] ()
+  in
+  let publishes () = (Serve.stats srv).Serve.publishes in
+  Serve.post srv ~writer:0 7;
+  Serve.post srv ~writer:3 9;
+  check bool "nothing left behind" false (Serve.drain_ready srv);
+  let st = Serve.stats srv in
+  check int "applied" 2 st.Serve.applied;
+  check int "pending" 0 st.Serve.pending;
+  check int "one publish per shard" 2 st.Serve.publishes;
+  check (Alcotest.array int) "both shards' posts" [| 7; 0; 0; 9 |]
+    (Serve.scan srv ~reader:0);
+  Serve.post srv ~writer:1 5;
+  ignore (Serve.drain_ready srv : bool);
+  check int "only the shard with a post publishes" 3 (publishes ());
+  Serve.reshard srv ~shards:4;
+  Serve.post srv ~writer:2 11;
+  Serve.post srv ~writer:3 12;
+  check bool "S=4: nothing left behind" false (Serve.drain_ready srv);
+  check int "S=4: components 2 and 3 are two shards" 5 (publishes ());
+  Serve.reshard srv ~shards:1;
+  Serve.post srv ~writer:0 13;
+  Serve.post srv ~writer:3 14;
+  check bool "S=1: nothing left behind" false (Serve.drain_ready srv);
+  check int "S=1: one shard, one publish" 6 (publishes ());
+  check (Alcotest.array int) "every epoch's posts" [| 13; 5; 11; 14 |]
+    (Serve.scan srv ~reader:0);
+  check bool "identities" true (Serve.check_identities srv = Ok ())
+
+(* With every mailbox empty, [drain_ready] is a read-only pass: it
+   allocates nothing and publishes nothing, like the idle [drain]. *)
+let test_drain_ready_idle () =
+  let srv = Serve.create ~shards:4 ~readers:1 ~init:(Array.make 64 0) () in
+  Serve.post srv ~writer:40 1;
+  ignore (Serve.drain_ready srv : bool);
+  let published = (Serve.stats srv).Serve.publishes in
+  check int "the post published" 1 published;
+  let calls = 10_000 and left = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    if Serve.drain_ready srv then incr left
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  check bool
+    (Printf.sprintf "idle drain_ready: %.2f minor words per call < 1" per_call)
+    true (per_call < 1.);
+  check int "idle calls leave nothing behind" 0 !left;
+  check int "idle calls publish nothing" published (Serve.stats srv).Serve.publishes
+
 (* [update] racing the appliers, a second drainer and live reshards on
    real domains.  Three writer domains mix [update] and [post] on one
    component each; after every update they raise their component's
    floor to the returned id.  Two reader domains read the floors, then
    scan: a scan started after an update returned must hold an id at
    least the returned one (read-your-writes).  A reconfigurer walks
-   2 -> 4 -> 1 -> 3 while the writers run; with [~manual:true] no
-   applier runs and a fourth domain calls [Serve.drain] in a loop,
-   racing the writers' own drains for the shard tokens.  The watchdog
-   turns a lost ack (an update spinning forever) into a failure. *)
-let self_drain_stress ~manual =
+   2 -> 4 -> 1 -> 3 while the writers run.  With a [drainer] no
+   applier runs and a fourth domain calls it ([Serve.drain] or
+   [Serve.drain_ready]) in a loop, racing the writers' own drains for
+   the shard tokens and the reconfigurer's epoch switches.  The
+   watchdog turns a lost ack (an update spinning forever) into a
+   failure. *)
+let self_drain_stress ?drainer () =
+  let manual = Option.is_some drainer in
   let writers = 3 and min_ops = 1000 in
   let srv =
     Serve.create ~shards:2 ~max_shards:4 ~readers:2 ~init:(Array.make 4 0) ()
@@ -238,18 +296,19 @@ let self_drain_stress ~manual =
                 Serve.reshard srv ~shards:s)
               [ 4; 1; 3 ]))
   in
-  let drainer =
-    if manual then
+  let drain_domain =
+    match drainer with
+    | None -> []
+    | Some (_, drain) ->
       [
         Domain.spawn (fun () ->
             while Atomic.get writers_left > 0 do
-              Serve.drain srv
+              drain srv
             done);
       ]
-    else []
   in
   let domains =
-    List.init writers writer @ List.init 2 reader @ (reconfigurer :: drainer)
+    List.init writers writer @ List.init 2 reader @ (reconfigurer :: drain_domain)
   in
   let deadline = Unix.gettimeofday () +. 30. in
   while Atomic.get writers_left > 0 && Unix.gettimeofday () < deadline do
@@ -261,7 +320,9 @@ let self_drain_stress ~manual =
   List.iter Domain.join domains;
   if not manual then Serve.shutdown srv;
   let label s =
-    Printf.sprintf "%s: %s" (if manual then "manual" else "appliers") s
+    Printf.sprintf "%s: %s"
+      (match drainer with None -> "appliers" | Some (name, _) -> name)
+      s
   in
   check int (label "read-your-writes") 0 (Atomic.get ryw_violations);
   check int (label "update ids strictly increase") 0
@@ -817,6 +878,10 @@ let () =
             test_accounting_invariant_under_domains;
           Alcotest.test_case "update in manual mode" `Quick
             test_update_manual_mode;
+          Alcotest.test_case "drain_ready applies every shard" `Quick
+            test_drain_ready_all_shards;
+          Alcotest.test_case "idle drain_ready is allocation-free" `Quick
+            test_drain_ready_idle;
           Alcotest.test_case "cache hit/miss/stale" `Quick
             test_cache_hit_miss_stale;
           Alcotest.test_case "cache disabled" `Quick test_cache_disabled;
@@ -837,9 +902,13 @@ let () =
       ( "self-drain",
         [
           Alcotest.test_case "stress with appliers" `Quick (fun () ->
-              self_drain_stress ~manual:false);
+              self_drain_stress ());
           Alcotest.test_case "stress racing manual drain" `Quick (fun () ->
-              self_drain_stress ~manual:true);
+              self_drain_stress ~drainer:("drain", Serve.drain) ());
+          Alcotest.test_case "stress racing drain_ready" `Quick (fun () ->
+              self_drain_stress
+                ~drainer:("drain_ready", fun srv -> ignore (Serve.drain_ready srv))
+                ());
         ] );
       ( "differential",
         [
