@@ -60,10 +60,11 @@ let schedules_term ~default ~doc =
 
 (* The campaign shape and the expectation flags, checked before any
    work by [serve], [chaos], [net] and [byz]: a zero count would let
-   --expect-clean pass vacuously or die inside the library, and the
-   two expectations cannot both hold. *)
+   --expect-clean pass vacuously or die inside the library, a negative
+   minimizer budget would read as "off" and print a flagged cell with
+   no counterexample, and the two expectations cannot both hold. *)
 let check_campaign_flags ~components ~readers ~writes ~scans ~schedules
-    ~expect_clean ~expect_flagged =
+    ~minimize_budget ~expect_clean ~expect_flagged =
   let usage msg =
     prerr_endline msg;
     exit 2
@@ -77,6 +78,7 @@ let check_campaign_flags ~components ~readers ~writes ~scans ~schedules
       ("--writes", writes, 0);
       ("--scans", scans, 0);
       ("--schedules", schedules, 1);
+      ("--minimize-budget", minimize_budget, 0);
     ];
   if expect_clean && expect_flagged then
     usage "--expect-clean and --expect-flagged are mutually exclusive"
@@ -975,7 +977,9 @@ module Fault_cmd (F : Workload.Fault_campaign.S) = struct
         $ Arg.(
             value & opt int budget
             & info [ "minimize-budget" ]
-                ~doc:"Replays the counterexample minimizer may spend (0 disables).")
+                ~doc:
+                  "Candidates the counterexample minimizer may judge, repeats \
+                   answered from its cache included (0 disables).")
         $ Arg.(
             value & flag
             & info [ "expect-flagged" ]
@@ -1007,7 +1011,8 @@ module Fault_cmd (F : Workload.Fault_campaign.S) = struct
       | Some line -> replay line
       | None ->
         check_campaign_flags ~components:s.components ~readers:s.readers
-          ~writes:s.writes ~scans:s.scans ~schedules:s.seeds ~expect_clean
+          ~writes:s.writes ~scans:s.scans ~schedules:s.seeds
+          ~minimize_budget:s.minimize_budget ~expect_clean
           ~expect_flagged:s.expect_flagged;
         campaign ~title s profile_names jobs pool_trace expect_clean (plan s)
     in
@@ -1312,7 +1317,7 @@ let serve_run outer shard_counts steps components readers writes scans
     schedules jobs pool_trace no_validate no_cache no_combine no_migrate
     minimize_budget expect_clean expect_flagged =
   check_campaign_flags ~components ~readers ~writes ~scans ~schedules
-    ~expect_clean ~expect_flagged;
+    ~minimize_budget ~expect_clean ~expect_flagged;
   let shard_counts = if shard_counts = [] then [ 1; 2; 4 ] else shard_counts in
   let shard_counts =
     List.sort_uniq compare
@@ -1477,8 +1482,9 @@ let serve_cmd =
            acknowledged writes vanish at the switch (negative control; \
            needs --step, combine with --expect-flagged)."
       $ int_opt [ "minimize-budget" ] 40
-          "Lifetimes the reshard-schedule minimizer may spend shrinking a \
-           failing step list (0 disables)."
+          "Candidates the reshard-schedule minimizer may judge shrinking a \
+           failing step list, one lifetime each unless a repeat (0 \
+           disables)."
       $ flag "expect-clean"
           "Exit nonzero if any run is flagged by any checker or breaks the \
            counter identities."

@@ -56,7 +56,7 @@ let create mem ~bits_per_value ~init =
       (fun k v ->
         let item = Item.initial v in
         let view = Array.map Item.initial init in
-        mem.Memory.make ~name:(Printf.sprintf "AF.C%d" k) ~bits:slot_bits
+        mem.Memory.make ~name:("AF.C" ^ string_of_int k) ~bits:slot_bits
           { item; view })
       init
   in

@@ -101,7 +101,7 @@ let rec create : type a. Memory.t -> prefix:string ->
     in
     let z =
       Array.init r (fun j ->
-          mem.Memory.make ~name:(Printf.sprintf "%s.Z%d" prefix j) ~bits:2 0)
+          mem.Memory.make ~name:(prefix ^ ".Z" ^ string_of_int j) ~bits:2 0)
     in
     let rest =
       create mem

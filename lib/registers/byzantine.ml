@@ -50,7 +50,7 @@ let mk_link (mem : Memory.t) ~name ~bits ~f init =
       Array.init
         ((2 * f) + 1)
         (fun i ->
-          mem.Memory.make ~name:(Printf.sprintf "%s.rep%d" name i) ~bits t0);
+          mem.Memory.make ~name:(name ^ ".rep" ^ string_of_int i) ~bits t0);
     lf = f;
     last = t0;
   }
@@ -108,13 +108,13 @@ let create (mem : Memory.t) ~name ~bits ~f ~readers init =
   if readers < 1 then invalid_arg "Byzantine.create: readers must be >= 1";
   let w2r =
     Array.init readers (fun j ->
-        mk_link mem ~name:(Printf.sprintf "%s.w2r%d" name j) ~bits ~f init)
+        mk_link mem ~name:(name ^ ".w2r" ^ string_of_int j) ~bits ~f init)
   in
   let r2r =
     Array.init readers (fun i ->
         Array.init readers (fun j ->
             mk_link mem
-              ~name:(Printf.sprintf "%s.r%dr%d" name i j)
+              ~name:(name ^ ".r" ^ string_of_int i ^ "r" ^ string_of_int j)
               ~bits ~f init))
   in
   { w2r; r2r; readers; f; wseq = 0 }

@@ -73,8 +73,9 @@ type config = {
   base_seed : int;
   max_steps : int;  (** step budget per run (bounds Stuck detection) *)
   minimize_budget : int;
-      (** candidate replays the minimizer may spend per counterexample;
-          [0] disables minimization *)
+      (** candidates the minimizer may judge per counterexample, cache
+          answers included ({!Fault_campaign.ddmin}); [0] disables
+          minimization *)
 }
 
 val default : config

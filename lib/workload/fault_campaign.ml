@@ -43,18 +43,42 @@ let render_outcome = function
 (** [Passed] on no violations, else [Flagged]. *)
 let verdict = function [] -> Passed | vs -> Flagged vs
 
+(* An injective key for a candidate: each entry as a base-128 varint,
+   so a list of process ids costs one byte per entry.  A string hashes
+   over its whole length, where an int array hashes only its first
+   few entries. *)
+let candidate_key ys =
+  let b = Buffer.create 64 in
+  let rec put y =
+    if y lsr 7 = 0 then Buffer.add_char b (Char.unsafe_chr y)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (y land 127 lor 128));
+      put (y lsr 7)
+    end
+  in
+  List.iter put ys;
+  Buffer.contents b
+
 (** Greedy delta debugging on a list: repeatedly try to delete chunks,
     halving the chunk size whenever a whole sweep makes no progress.
-    [test] must return [true] iff the candidate still fails; at most
-    [budget] tests are run (further candidates are assumed passing).
-    Returns the shrunk list and the number of tests spent. *)
+    [test] must return [true] iff the candidate still fails, and must
+    be deterministic: a candidate equal to one already rejected is
+    answered from a cache without calling [test] again.  [budget]
+    bounds the candidates judged, cache answers included (further
+    candidates are assumed passing), so the cache changes no decision.
+    Returns the shrunk list and the number of candidates judged. *)
 let ddmin ~budget ~test xs =
   let spent = ref 0 in
+  (* Only rejections: a kept candidate becomes the current list, and
+     every later candidate is shorter than it. *)
+  let rejected = Hashtbl.create 64 in
   let try_test ys =
     if !spent >= budget then false
     else begin
       incr spent;
-      test ys
+      let key = candidate_key ys in
+      (not (Hashtbl.mem rejected key))
+      && (test ys || (Hashtbl.replace rejected key (); false))
     end
   in
   let rec sweep chunk i xs =
@@ -207,7 +231,9 @@ type 'profile sweep = {
   seeds : int;  (** runs per (impl, profile) cell *)
   base_seed : int;
   max_steps : int;  (** step budget per recorded run *)
-  minimize_budget : int;  (** replays per counterexample; [0] disables *)
+  minimize_budget : int;
+      (** candidates judged per counterexample (see {!ddmin}); [0]
+          disables *)
 }
 
 type names = {
@@ -312,7 +338,10 @@ module type S = sig
     cx_violations : string;  (** rendered outcome of the minimized run *)
     cx_original_entries : int;  (** schedule entries before minimization *)
     cx_original_elements : int;  (** fault elements before minimization *)
-    cx_replays : int;  (** candidate replays the minimizer spent *)
+    cx_replays : int;
+        (** candidates the minimizer judged, over both passes; a
+            candidate equal to one already rejected counts although it
+            is answered from {!ddmin}'s cache, not replayed *)
   }
 
   val minimize : budget:int -> case -> script:int array -> counterexample
@@ -416,19 +445,27 @@ module Make (X : SUBSTRATE) :
     (* Pass 2: shrink the schedule.  A dropped entry defers the affected
        process's (or message's) remaining events to the round-robin
        fallback; candidates that make a later entry invalid Diverge and
-       are rejected by the test. *)
+       are rejected by the test.  The last candidate kept is the
+       minimized script, so its outcome is the minimized run's. *)
+    let last_kept = ref None in
     let entries, spent2 =
       ddmin
         ~budget:(max 0 (budget - spent1))
         ~test:(fun entries ->
-          same_kind reference (replay case ~script:(Array.of_list entries)))
+          let o = replay case ~script:(Array.of_list entries) in
+          same_kind reference o && (last_kept := Some o; true))
         (Array.to_list script)
     in
     let cx_script = Array.of_list entries in
+    let final =
+      match !last_kept with
+      | Some o -> o
+      | None -> replay case ~script:cx_script
+    in
     {
       cx_case = case;
       cx_script;
-      cx_violations = render_outcome (replay case ~script:cx_script);
+      cx_violations = render_outcome final;
       cx_original_entries = Array.length script;
       cx_original_elements = original;
       cx_replays = spent1 + spent2;

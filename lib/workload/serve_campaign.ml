@@ -240,7 +240,8 @@ let run ?(jobs = 1) ?pool ?metrics (cfg : config) =
     }
   in
   (* A real epoch-boundary bug reproduces on nearly every lifetime, so
-     one re-run per ddmin candidate is enough for a useful shrink. *)
+     one lifetime per distinct ddmin candidate is enough for a useful
+     shrink: a candidate equal to one already rejected is not re-run. *)
   let result =
     if failures result = 0 || cfg.minimize_budget <= 0 || cfg.schedule = []
     then result

@@ -42,7 +42,8 @@ type config = {
       (** also run the exponential Wing–Gong oracle (requires small
           histories) *)
   minimize_budget : int;
-      (** lifetimes ddmin may spend shrinking a failing [schedule]; [0]
+      (** candidates ddmin may judge shrinking a failing [schedule], one
+          lifetime each except a repeat of a rejected candidate; [0]
           disables minimization *)
 }
 

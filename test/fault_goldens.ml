@@ -3,7 +3,8 @@
    cells, rendered to the strings a user sees: the report, every
    minimized counterexample and its one-line replay script, and the
    merged metrics dump.  test_chaos, test_net and test_byzantine pin
-   these renderings; test_exec checks they do not depend on [jobs]. *)
+   these renderings and check each counterexample's violations against
+   a fresh replay; test_exec checks they do not depend on [jobs]. *)
 
 open Workload
 
@@ -25,8 +26,7 @@ let render ~pp_report ~pp_cx ~to_string ~metrics report cxs =
 (* anderson and the unsafe double collect under no fault, a writer
    crash and lost writes: the unsafe collect is flagged in every cell,
    anderson only under lost writes. *)
-let chaos ~jobs =
-  let m = Obs.Metrics.create () in
+let chaos_run ~jobs m =
   let profiles =
     List.filter
       (fun (p : Chaos.profile) ->
@@ -43,14 +43,17 @@ let chaos ~jobs =
         minimize_budget = 200;
       }
   in
-  let cxs = List.filter_map (fun (c : Chaos.cell) -> c.counterexample) r.cells in
+  (r, List.filter_map (fun (c : Chaos.cell) -> c.counterexample) r.cells)
+
+let chaos ~jobs =
+  let m = Obs.Metrics.create () in
+  let r, cxs = chaos_run ~jobs m in
   render ~pp_report:Chaos.pp_report ~pp_cx:Chaos.pp_counterexample
     ~to_string:Chaos.cx_to_string ~metrics:m r cxs
 
 (* anderson over ABD: clean with no faults, flagged with the broken
    quorum and with one forging replica. *)
-let net ~jobs =
-  let m = Obs.Metrics.create () in
+let net_run ~jobs m =
   let profiles =
     List.filter
       (fun (p : Netchaos.profile) -> List.mem p.label [ "none"; "broken-quorum" ])
@@ -67,16 +70,17 @@ let net ~jobs =
         minimize_budget = 200;
       }
   in
-  let cxs =
-    List.filter_map (fun (c : Netchaos.cell) -> c.counterexample) r.cells
-  in
+  (r, List.filter_map (fun (c : Netchaos.cell) -> c.counterexample) r.cells)
+
+let net ~jobs =
+  let m = Obs.Metrics.create () in
+  let r, cxs = net_run ~jobs m in
   render ~pp_report:Netchaos.pp_report ~pp_cx:Netchaos.pp_counterexample
     ~to_string:Netchaos.cx_to_string ~metrics:m r cxs
 
 (* anderson with one lying cell per link, masked by the f = 1
    construction, and without the construction, caught. *)
-let byz ~jobs =
-  let m = Obs.Metrics.create () in
+let byz_run ~jobs m =
   let profiles =
     List.filter
       (fun (p : Byzchaos.profile) ->
@@ -93,13 +97,51 @@ let byz ~jobs =
         minimize_budget = 200;
       }
   in
-  let cxs =
-    List.filter_map (fun (c : Byzchaos.cell) -> c.counterexample) r.cells
-  in
+  (r, List.filter_map (fun (c : Byzchaos.cell) -> c.counterexample) r.cells)
+
+let byz ~jobs =
+  let m = Obs.Metrics.create () in
+  let r, cxs = byz_run ~jobs m in
   render ~pp_report:Byzchaos.pp_report ~pp_cx:Byzchaos.pp_counterexample
     ~to_string:Byzchaos.cx_to_string ~metrics:m r cxs
 
 let all = [ ("chaos", chaos); ("net", net); ("byz", byz) ]
+
+(* Every counterexample of a golden campaign as (the violations the
+   minimizer reported, the rendered outcome of a fresh replay of its
+   minimized case and script).  The minimizer renders the outcome of
+   the last candidate it kept instead of replaying; the two must agree. *)
+let replayed ~violations ~replay cxs =
+  List.map
+    (fun cx -> (violations cx, Fault_campaign.render_outcome (replay cx)))
+    cxs
+
+let chaos_replayed () =
+  replayed
+    ~violations:(fun (cx : Chaos.counterexample) -> cx.cx_violations)
+    ~replay:(fun cx -> Chaos.replay cx.cx_case ~script:cx.cx_script)
+    (snd (chaos_run ~jobs:1 (Obs.Metrics.create ())))
+
+let net_replayed () =
+  replayed
+    ~violations:(fun (cx : Netchaos.counterexample) -> cx.cx_violations)
+    ~replay:(fun cx -> Netchaos.replay cx.cx_case ~script:cx.cx_script)
+    (snd (net_run ~jobs:1 (Obs.Metrics.create ())))
+
+let byz_replayed () =
+  replayed
+    ~violations:(fun (cx : Byzchaos.counterexample) -> cx.cx_violations)
+    ~replay:(fun cx -> Byzchaos.replay cx.cx_case ~script:cx.cx_script)
+    (snd (byz_run ~jobs:1 (Obs.Metrics.create ())))
+
+let check_replayed name pairs =
+  if pairs = [] then Alcotest.failf "%s: no counterexample to replay" name;
+  List.iteri
+    (fun i (reported, fresh) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: counterexample %d" name i)
+        fresh reported)
+    pairs
 
 (* Compare two renderings field by field, so a mismatch names the
    substrate and the field. *)

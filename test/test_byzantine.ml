@@ -91,7 +91,63 @@ let test_contains_target () =
   hit.Memory.write 5;
   miss.Memory.write 5;
   check int "substring match corrupted" 0 (hit.Memory.read ());
-  check int "non-match untouched" 5 (miss.Memory.read ())
+  check int "non-match untouched" 5 (miss.Memory.read ());
+  (* Edges of the substring test: the match at either end of the name,
+     a needle longer than the name, and the empty needle. *)
+  List.iter
+    (fun (sub, name, expected) ->
+      let mem, _ =
+        Faults.wrap ~seed:1
+          [ inj ~target:(Faults.Contains sub) (Faults.Corrupt { prob = 1.0 }) ]
+          (Memory.direct ())
+      in
+      let cell = mem.Memory.make ~name ~bits:8 0 in
+      cell.Memory.write 5;
+      check bool
+        (Printf.sprintf "contains %S in %S" sub name)
+        expected
+        (cell.Memory.read () = 0))
+    [
+      (".rep0", "x.w2r1.rep0", true);
+      ("x.w2", "x.w2r1.rep0", true);
+      (".rep0", "x.w2r1.rep", false);
+      ("x.w2r1.rep0!", "x.w2r1.rep0", false);
+      ("", "", true);
+      ("", "x", true);
+      ("r1r", "x.r0r1.rep0", false);
+    ]
+
+(* The cell names the constructions allocate, in allocation order:
+   fault targets and printed counterexamples name these strings, so
+   they must stay byte for byte. *)
+let test_cell_names () =
+  let names_of build =
+    let direct = Memory.direct () and names = ref [] in
+    build
+      {
+        Memory.make =
+          (fun ~name ~bits init ->
+            names := name :: !names;
+            direct.Memory.make ~name ~bits init);
+      };
+    List.rev !names
+  in
+  let strings = Alcotest.(list string) in
+  check strings "byzantine register, f = 1, R = 2"
+    (List.concat_map
+       (fun link -> List.map (fun k -> "x." ^ link ^ ".rep" ^ k) [ "0"; "1"; "2" ])
+       [ "w2r0"; "w2r1"; "r0r0"; "r0r1"; "r1r0"; "r1r1" ])
+    (names_of (fun mem ->
+         ignore (Registers.Byzantine.create mem ~name:"x" ~bits:8 ~f:1 ~readers:2 0)));
+  check strings "anderson, C = 3, R = 2"
+    [ "A.Y0"; "A.Z0"; "A.Z1"; "A'.Y0"; "A'.Z0"; "A'.Z1"; "A'.Z2"; "A''.Y0" ]
+    (names_of (fun mem ->
+         ignore
+           (Composite.Anderson.create mem ~readers:2 ~bits_per_value:8
+              ~init:[| 0; 0; 0 |])));
+  check strings "afek, C = 3" [ "AF.C0"; "AF.C1"; "AF.C2" ]
+    (names_of (fun mem ->
+         ignore (Composite.Afek.create mem ~bits_per_value:8 ~init:[| 0; 0; 0 |])))
 
 let test_describe_names_the_stack () =
   let stack = Faults.stack (Memory.direct ()) in
@@ -548,6 +604,9 @@ let pinned_byz_campaign =
         ];
   }
 
+let test_golden_replayed () =
+  Fault_goldens.check_replayed "byz" (Fault_goldens.byz_replayed ())
+
 let test_golden_campaign () =
   Fault_goldens.check_same "byz" ~expected:pinned_byz_campaign
     (Fault_goldens.byz ~jobs:1)
@@ -564,6 +623,7 @@ let () =
           Alcotest.test_case "budget claims f cells" `Quick
             test_byz_budget_claims_f_cells;
           Alcotest.test_case "substring targeting" `Quick test_contains_target;
+          Alcotest.test_case "cell names" `Quick test_cell_names;
           Alcotest.test_case "describe names the stack" `Quick
             test_describe_names_the_stack;
           Alcotest.test_case "spec round-trip (new kinds)" `Quick
@@ -601,5 +661,7 @@ let () =
           Alcotest.test_case "report identical across jobs" `Quick
             test_report_identical_across_jobs;
           Alcotest.test_case "golden campaign" `Quick test_golden_campaign;
+          Alcotest.test_case "golden violations equal a fresh replay" `Quick
+            test_golden_replayed;
         ] );
     ]

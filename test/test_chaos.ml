@@ -383,6 +383,89 @@ let qcheck_ddmin_one_minimal =
            (fun i -> not (reaches t (List.filteri (fun j _ -> j <> i) ys)))
            (List.init (List.length ys) Fun.id))
 
+(* [ddmin] as it was before it cached rejections: every candidate is
+   passed to [test].  The reference the cached one must decide like. *)
+let uncached_ddmin ~budget ~test xs =
+  let spent = ref 0 in
+  let try_test ys =
+    if !spent >= budget then false
+    else begin
+      incr spent;
+      test ys
+    end
+  in
+  let rec sweep chunk i xs =
+    let n = List.length xs in
+    if i >= n then xs
+    else begin
+      let candidate = List.filteri (fun j _ -> j < i || j >= i + chunk) xs in
+      if List.length candidate < n && try_test candidate then
+        sweep chunk i candidate
+      else sweep chunk (i + chunk) xs
+    end
+  in
+  let rec shrink xs chunk =
+    if chunk = 0 || xs = [] then xs
+    else begin
+      let n = List.length xs in
+      let xs = sweep chunk 0 xs in
+      if List.length xs < n then
+        shrink xs (min chunk (max 1 (List.length xs / 2)))
+      else shrink xs (chunk / 2)
+    end
+  in
+  let r = shrink xs (max 1 (List.length xs / 2)) in
+  (r, !spent)
+
+(* [ddmin] with a test that counts its calls and notes a repeat. *)
+let counted_ddmin ~budget ~test xs =
+  let seen = Hashtbl.create 16 and calls = ref 0 and repeated = ref false in
+  let test ys =
+    incr calls;
+    if Hashtbl.mem seen ys then repeated := true;
+    Hashtbl.replace seen ys ();
+    test ys
+  in
+  let r = Workload.Fault_campaign.ddmin ~budget ~test xs in
+  (r, !calls, !repeated)
+
+(* Lists over a 3-value alphabet, so deleting different chunks often
+   leaves equal lists, and a threshold at most their sum. *)
+let gen_repetitive_input =
+  QCheck2.Gen.(
+    let* xs = list_size (int_range 0 30) (int_range 0 2) in
+    let* t = int_range 0 (List.fold_left ( + ) 0 xs) in
+    return (xs, t))
+
+let qcheck_ddmin_cache_decides_alike =
+  QCheck2.Test.make ~count:200
+    ~print:(fun (xs, t) -> print_ddmin_input (xs, t, 0))
+    ~name:"cached ddmin decides like the uncached one; no candidate twice"
+    gen_repetitive_input (fun (xs, t) ->
+      let _, ample = uncached_ddmin ~budget:max_int ~test:(reaches t) xs in
+      List.for_all
+        (fun budget ->
+          let r, calls, repeated = counted_ddmin ~budget ~test:(reaches t) xs in
+          r = uncached_ddmin ~budget ~test:(reaches t) xs
+          && (not repeated) && calls <= snd r)
+        (List.init (ample + 2) Fun.id))
+
+(* On [0;0;0;1;1] with "sum >= 1", the empty list is rejected while
+   [[0;1;1]] is swept and asked again of the final [[1]]: the second
+   answer comes from the cache, and still counts against the budget. *)
+let test_ddmin_cache_answers () =
+  let xs = [ 0; 0; 0; 1; 1 ] in
+  let (r, spent), calls, repeated =
+    counted_ddmin ~budget:100 ~test:(reaches 1) xs
+  in
+  Alcotest.(check (list int)) "shrunk" [ 1 ] r;
+  Alcotest.(check (pair (list int) int))
+    "same as uncached" (uncached_ddmin ~budget:100 ~test:(reaches 1) xs) (r, spent);
+  Alcotest.(check bool) "no candidate reaches test twice" false repeated;
+  Alcotest.(check bool)
+    (Printf.sprintf "some answer from the cache (%d judged, %d tested)" spent calls)
+    true (calls < spent)
+
 (* ------------------------------------------------------------------ *)
 (* Pinned shared-memory replays                                         *)
 (* ------------------------------------------------------------------ *)
@@ -417,6 +500,25 @@ let test_pinned_shm_replay () =
       (Workload.Chaos.render_outcome
          (Workload.Chaos.replay cx.Workload.Chaos.cx_case
             ~script:cx.Workload.Chaos.cx_script))
+
+(* Minimizing the pinned counterexample again: its script is already
+   1-minimal, so the schedule pass keeps no candidate (the script keeps
+   its length) and the minimizer must replay the result to render its
+   violations. *)
+let test_minimize_nothing_kept () =
+  match Workload.Chaos.cx_of_string pinned_shm_cx with
+  | Error e -> Alcotest.fail ("pinned cx_of_string: " ^ e)
+  | Ok cx ->
+    let again =
+      Workload.Chaos.minimize ~budget:200 cx.cx_case ~script:cx.cx_script
+    in
+    check Alcotest.(array int) "schedule pass kept nothing" cx.cx_script
+      again.cx_script;
+    check Alcotest.string "violations from the fallback replay"
+      pinned_shm_violations again.cx_violations
+
+let test_golden_replayed () =
+  Fault_goldens.check_replayed "chaos" (Fault_goldens.chaos_replayed ())
 
 (* The chaos workload of [Chaos.run] on one fixed case that mixes a
    memory fault, a crash and two stalls, recorded under the given
@@ -618,7 +720,12 @@ let () =
         ] );
       ( "ddmin",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_ddmin_budget; qcheck_ddmin_one_minimal ] );
+          [
+            qcheck_ddmin_budget;
+            qcheck_ddmin_one_minimal;
+            qcheck_ddmin_cache_decides_alike;
+          ]
+        @ [ Alcotest.test_case "cache answers" `Quick test_ddmin_cache_answers ] );
       ( "pinned",
         [
           Alcotest.test_case "shm counterexample replays" `Quick
@@ -626,5 +733,9 @@ let () =
           Alcotest.test_case "shm schedules and stats" `Quick
             test_pinned_shm_schedules;
           Alcotest.test_case "golden campaign" `Quick test_golden_campaign;
+          Alcotest.test_case "golden violations equal a fresh replay" `Quick
+            test_golden_replayed;
+          Alcotest.test_case "minimizing a minimal script replays it" `Quick
+            test_minimize_nothing_kept;
         ] );
     ]

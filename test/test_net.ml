@@ -667,6 +667,9 @@ let pinned_net_campaign =
         ];
   }
 
+let test_golden_replayed () =
+  Fault_goldens.check_replayed "net" (Fault_goldens.net_replayed ())
+
 let test_golden_campaign () =
   Fault_goldens.check_same "net" ~expected:pinned_net_campaign
     (Fault_goldens.net ~jobs:1)
@@ -709,5 +712,7 @@ let () =
           Alcotest.test_case "campaign jobs-independent" `Slow
             test_campaign_net_jobs_identical;
           Alcotest.test_case "golden campaign" `Quick test_golden_campaign;
+          Alcotest.test_case "golden violations equal a fresh replay" `Quick
+            test_golden_replayed;
         ] );
     ]
