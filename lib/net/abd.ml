@@ -35,6 +35,10 @@ type stats = {
   mutable phase_wait_max : int;
 }
 
+(* One replica's registers, indexed by the dense register id: the
+   timestamp and value it holds. *)
+type store = { mutable ts : int array; mutable vs : exn array }
+
 type t = {
   env : Sim.env;
   n : int;
@@ -50,10 +54,9 @@ type t = {
   mutable members : int array;
   mutable trans : int array option;
   mutable cfg_epoch : int;
-  stores : (int, int * exn) Hashtbl.t array;
-      (* per replica: register id -> (timestamp, value) *)
-  firsts : (int, int * exn) Hashtbl.t;
-      (* register id -> initial (timestamp, value): the pair lying
+  stores : store array;  (* per replica *)
+  mutable firsts : exn array;
+      (* register id -> initial value, at timestamp 0: the pair lying
          replicas serve as their maximally stale answer *)
   backoff : backoff;
   retry_prng : Csim.Schedule.Prng.t;
@@ -117,8 +120,8 @@ let create ?(quorum = Majority) ?(backoff = no_backoff) ?(retry_seed = 0)
       members;
       trans = None;
       cfg_epoch = 0;
-      stores = Array.init n (fun _ -> Hashtbl.create 16);
-      firsts = Hashtbl.create 16;
+      stores = Array.init n (fun _ -> { ts = [||]; vs = [||] });
+      firsts = [||];
       backoff;
       retry_prng = Csim.Schedule.Prng.make retry_seed;
       next_reg = 0;
@@ -144,13 +147,14 @@ let create ?(quorum = Majority) ?(backoff = no_backoff) ?(retry_seed = 0)
   (* Honest replica logic, shared by every flavor branch that does not
      override the given request. *)
   let honest_read store ~src ~reg ~rid =
-    let ts, v = Hashtbl.find store reg in
-    [ (src, Read_ack { reg; rid; ts; v }) ]
+    [ (src, Read_ack { reg; rid; ts = store.ts.(reg); v = store.vs.(reg) }) ]
   in
   let honest_write store ~src ~reg ~rid ~ts ~v =
     (* Timestamp rule: adopt strictly newer values only. *)
-    let ts0, _ = Hashtbl.find store reg in
-    if ts > ts0 then Hashtbl.replace store reg (ts, v);
+    if ts > store.ts.(reg) then begin
+      store.ts.(reg) <- ts;
+      store.vs.(reg) <- v
+    end;
     [ (src, Write_ack { reg; rid }) ]
   in
   Sim.set_handler env (fun ~replica ~src payload ->
@@ -176,9 +180,13 @@ let create ?(quorum = Majority) ?(backoff = no_backoff) ?(retry_seed = 0)
             (* Serve whatever stale pair it kept, with a forged
                far-future timestamp: honest readers adopt it, write it
                back, and the poison spreads. *)
-            let ts, v = Hashtbl.find store reg in
             st.Sim.forged <- st.Sim.forged + 1;
-            [ (src, Read_ack { reg; rid; ts = ts + forge_lead; v }) ]
+            [
+              ( src,
+                Read_ack
+                  { reg; rid; ts = store.ts.(reg) + forge_lead;
+                    v = store.vs.(reg) } );
+            ]
           | Write_req { reg; rid; ts = _; v = _ } ->
             (* A forged ack: pretend to store, keep nothing. *)
             st.Sim.forged <- st.Sim.forged + 1;
@@ -190,8 +198,7 @@ let create ?(quorum = Majority) ?(backoff = no_backoff) ?(retry_seed = 0)
             (* Store honestly but always answer with the register's
                initial pair — a maximal timestamp regression. *)
             st.Sim.stale_served <- st.Sim.stale_served + 1;
-            let ts, v = Hashtbl.find t.firsts reg in
-            [ (src, Read_ack { reg; rid; ts; v }) ]
+            [ (src, Read_ack { reg; rid; ts = 0; v = t.firsts.(reg) }) ]
           | Write_req { reg; rid; ts; v } ->
             honest_write store ~src ~reg ~rid ~ts ~v
           | _ -> [])
@@ -203,8 +210,7 @@ let create ?(quorum = Majority) ?(backoff = no_backoff) ?(retry_seed = 0)
               (* Odd clients are shown the initial pair, even ones the
                  truth: different quorum faces for different readers. *)
               st.Sim.equivocations <- st.Sim.equivocations + 1;
-              let ts, v = Hashtbl.find t.firsts reg in
-              [ (src, Read_ack { reg; rid; ts; v }) ]
+              [ (src, Read_ack { reg; rid; ts = 0; v = t.firsts.(reg) }) ]
             end
           | Write_req { reg; rid; ts; v } ->
             honest_write store ~src ~reg ~rid ~ts ~v
@@ -231,84 +237,87 @@ type probe = {
   mutable waiting : Obs.Causal.span option;  (* open backoff window *)
 }
 
-let probe_start t ~op ~name =
+(* Span names are built only when a collector is attached: [name] is
+   completed by the register id. *)
+let probe_start t ~op ~name ~reg =
   match t.causal with
   | None -> None
   | Some c ->
     let client = Sim.self () in
     let ph =
       Obs.Causal.start c ?parent:op ~kind:Obs.Causal.Phase ~track:client
-        ~at:(Sim.now t.env) name
+        ~at:(Sim.now t.env)
+        (name ^ string_of_int reg)
     in
     Sim.set_context t.env ~client
       (Some { Sim.trace = ph.Obs.Causal.trace; span = ph.Obs.Causal.id });
     Some { c; client; ph; rpcs = Array.make t.n None; waiting = None }
 
 let probe_sent t pr ~replica ~retx =
-  Option.iter
-    (fun p ->
-      let at = Sim.now t.env in
-      match p.rpcs.(replica) with
-      | None ->
-        p.rpcs.(replica) <-
-          Some
-            (Obs.Causal.start p.c ~parent:p.ph ~kind:Obs.Causal.Rpc
-               ~track:p.client ~at
-               (Printf.sprintf "rpc r%d" replica))
-      | Some rpc ->
-        if retx then begin
-          (* An instant child span per retransmission to this replica. *)
-          let s =
-            Obs.Causal.start p.c ~parent:rpc ~kind:Obs.Causal.Rpc
-              ~track:p.client ~at
-              (Printf.sprintf "retx r%d" replica)
-          in
-          Obs.Causal.finish p.c ~at s
-        end)
-    pr
+  match pr with
+  | None -> ()
+  | Some p -> (
+    let at = Sim.now t.env in
+    match p.rpcs.(replica) with
+    | None ->
+      p.rpcs.(replica) <-
+        Some
+          (Obs.Causal.start p.c ~parent:p.ph ~kind:Obs.Causal.Rpc
+             ~track:p.client ~at
+             (Printf.sprintf "rpc r%d" replica))
+    | Some rpc ->
+      if retx then begin
+        (* An instant child span per retransmission to this replica. *)
+        let s =
+          Obs.Causal.start p.c ~parent:rpc ~kind:Obs.Causal.Rpc
+            ~track:p.client ~at
+            (Printf.sprintf "retx r%d" replica)
+        in
+        Obs.Causal.finish p.c ~at s
+      end)
 
 let probe_wait_begin t pr =
-  Option.iter
-    (fun p ->
-      if p.waiting = None then
-        p.waiting <-
-          Some
-            (Obs.Causal.start p.c ~parent:p.ph ~kind:Obs.Causal.Wait
-               ~track:p.client ~at:(Sim.now t.env) "backoff"))
-    pr
+  match pr with
+  | None -> ()
+  | Some p ->
+    if p.waiting = None then
+      p.waiting <-
+        Some
+          (Obs.Causal.start p.c ~parent:p.ph ~kind:Obs.Causal.Wait
+             ~track:p.client ~at:(Sim.now t.env) "backoff")
 
 let probe_wait_end t pr =
-  Option.iter
-    (fun p ->
-      Option.iter
-        (fun w ->
-          Obs.Causal.finish p.c ~at:(Sim.now t.env) w;
-          p.waiting <- None)
-        p.waiting)
-    pr
+  match pr with
+  | None -> ()
+  | Some p -> (
+    match p.waiting with
+    | None -> ()
+    | Some w ->
+      Obs.Causal.finish p.c ~at:(Sim.now t.env) w;
+      p.waiting <- None)
 
 let probe_acked t pr ~replica ~lamport =
-  Option.iter
-    (fun p ->
-      Option.iter
-        (fun rpc ->
-          Obs.Causal.finish p.c ~at:(Sim.now t.env)
-            ~args:[ ("ack_lamport", Obs.Json.Int lamport) ]
-            rpc)
-        p.rpcs.(replica))
-    pr
+  match pr with
+  | None -> ()
+  | Some p -> (
+    match p.rpcs.(replica) with
+    | None -> ()
+    | Some rpc ->
+      Obs.Causal.finish p.c ~at:(Sim.now t.env)
+        ~args:[ ("ack_lamport", Obs.Json.Int lamport) ]
+        rpc)
 
 let probe_finish t pr ~wait =
-  Option.iter
-    (fun p ->
-      probe_wait_end t pr;
-      (* Unacked rpc spans stay open on purpose: a crashed or mute
-         replica's request is visibly unclosed in the export. *)
-      Obs.Causal.finish p.c ~at:(Sim.now t.env)
-        ~args:[ ("wait", Obs.Json.Int wait) ]
-        p.ph;
-      Sim.set_context t.env ~client:p.client None)
-    pr
+  match pr with
+  | None -> ()
+  | Some p ->
+    probe_wait_end t pr;
+    (* Unacked rpc spans stay open on purpose: a crashed or mute
+       replica's request is visibly unclosed in the export. *)
+    Obs.Causal.finish p.c ~at:(Sim.now t.env)
+      ~args:[ ("wait", Obs.Json.Int wait) ]
+      p.ph;
+    Sim.set_context t.env ~client:p.client None
 
 (* One quorum phase: broadcast [payload] to every current target not
    yet heard from, then consume deliveries until the quorum predicate
@@ -329,10 +338,10 @@ let probe_finish t pr ~wait =
    when the transition begins picks up the joint predicate on its next
    iteration and must additionally meet a quorum of the incoming set —
    so either way the value is where the next configuration looks. *)
-let phase t ?op ~name payload ~on_ack =
+let phase t ?op ~name ~reg payload ~on_ack =
   t.stats.rounds <- t.stats.rounds + 1;
   let started = Sim.now t.env in
-  let pr = probe_start t ~op ~name in
+  let pr = probe_start t ~op ~name ~reg in
   let acked = Array.make t.n false in
   let count set =
     Array.fold_left (fun acc r -> if acked.(r) then acc + 1 else acc) 0 set
@@ -401,13 +410,13 @@ let phase t ?op ~name payload ~on_ack =
 (* The operation-level span: parent of the phases.  [Causal.start]
    resolves its parent to the innermost composite-level note span of
    this client (a Scan/Update bracket), stitching the layers. *)
-let op_start t name =
+let op_start t name id =
   match t.causal with
   | None -> None
   | Some c ->
     Some
       (Obs.Causal.start c ~kind:Obs.Causal.Op ~track:(Sim.self ())
-         ~at:(Sim.now t.env) name)
+         ~at:(Sim.now t.env) (name ^ string_of_int id))
 
 let op_finish t op =
   match (t.causal, op) with
@@ -420,7 +429,7 @@ let op_finish t op =
 
 let write_phase t ?op reg ~ts ~v =
   let rid = fresh_rid t in
-  phase t ?op ~name:(Printf.sprintf "write reg%d" reg)
+  phase t ?op ~name:"write reg" ~reg
     (Write_req { reg; rid; ts; v })
     ~on_ack:(fun ~replica:_ -> function
       | Write_ack w -> w.rid = rid
@@ -431,7 +440,7 @@ let write_phase t ?op reg ~ts ~v =
 let write t reg wts v =
   t.stats.writes <- t.stats.writes + 1;
   incr wts;
-  let op = op_start t (Printf.sprintf "abd.write reg%d" reg) in
+  let op = op_start t "abd.write reg" reg in
   write_phase t ?op reg ~ts:!wts ~v;
   op_finish t op
 
@@ -444,11 +453,11 @@ let write t reg wts v =
 let read t reg =
   t.stats.reads <- t.stats.reads + 1;
   let rid = fresh_rid t in
-  let op = op_start t (Printf.sprintf "abd.read reg%d" reg) in
+  let op = op_start t "abd.read reg" reg in
   let best_ts = ref (-1) in
   let best_v = ref None in
   let best_src = ref (-1) in
-  phase t ?op ~name:(Printf.sprintf "query reg%d" reg)
+  phase t ?op ~name:"query reg" ~reg
     (Read_req { reg; rid })
     ~on_ack:(fun ~replica -> function
       | Read_ack a when a.rid = rid ->
@@ -496,7 +505,7 @@ let reconfigure t ~members:raw =
   if t.trans <> None then
     invalid_arg "Net.Abd.reconfigure: reconfiguration already in progress";
   let nm = check_members ~n:t.n ~quorum:t.quorum ~via:"reconfigure" raw in
-  let op = op_start t (Printf.sprintf "abd.reconfigure e%d" (t.cfg_epoch + 1)) in
+  let op = op_start t "abd.reconfigure e" (t.cfg_epoch + 1) in
   t.trans <- Some nm;
   let transferred = ref 0 in
   for reg = 0 to t.next_reg - 1 do
@@ -550,16 +559,11 @@ let epochs t =
 (* Ghost read for [Memory.peek]: the freshest value any replica store
    holds, without network traffic.  Also returns the holding replica. *)
 let peek t reg =
-  let best = ref None in
-  for r = 0 to t.n - 1 do
-    match Hashtbl.find_opt t.stores.(r) reg with
-    | Some (ts, v) -> (
-      match !best with
-      | Some (bts, _, _) when bts >= ts -> ()
-      | _ -> best := Some (ts, v, r))
-    | None -> ()
+  let best = ref 0 in
+  for r = 1 to t.n - 1 do
+    if t.stores.(r).ts.(reg) > t.stores.(!best).ts.(reg) then best := r
   done;
-  match !best with Some (_, v, r) -> (v, r) | None -> assert false
+  (t.stores.(!best).vs.(reg), !best)
 
 (* A universal type via an extensible variant, so one monomorphic
    network message type can carry values of every register's type.
@@ -592,11 +596,14 @@ let memory t =
               from replica %d"
              via reg name replica)
     in
-    let first = (0, inj init) in
-    Hashtbl.replace t.firsts reg first;
-    for r = 0 to t.n - 1 do
-      Hashtbl.replace t.stores.(r) reg first
-    done;
+    (* Register ids are dense: [reg] is the next index of every array. *)
+    let first = inj init in
+    t.firsts <- Array.append t.firsts [| first |];
+    Array.iter
+      (fun st ->
+        st.ts <- Array.append st.ts [| 0 |];
+        st.vs <- Array.append st.vs [| first |])
+      t.stores;
     let wts = ref 0 in
     {
       Csim.Memory.read = (fun () -> checked ~via:"read" (read t reg));

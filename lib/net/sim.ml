@@ -351,7 +351,7 @@ type state =
   | At_recv of { mutable k : (packet option, unit) Effect.Deep.continuation }
   | Finished
 
-let start state me f =
+let start state me ~on_return f =
   let open Effect.Deep in
   let i = me.id in
   let park =
@@ -364,7 +364,10 @@ let start state me f =
   let here = Some (fun (k : (client, unit) continuation) -> continue k me) in
   match_with f ()
     {
-      retc = (fun () -> state.(i) <- Finished);
+      retc =
+        (fun () ->
+          state.(i) <- Finished;
+          on_return ());
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -416,9 +419,15 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
     !ids.(n)
   in
   let waiting j = match state.(j) with At_recv _ -> true | _ -> false in
+  let unstarted = ref nc in
+  (* Set when a packet in flight may be addressed to a returned client:
+     that client returned, or a replica replied to a returned client. *)
+  let stale = ref false in
+  let on_return () = stale := true in
   (* Packets addressed to a client that already returned can never be
      consumed; expire them so they stop showing up as enabled actions. *)
   let purge () =
+    stale := false;
     let kept = ref 0 in
     for j = 0 to env.in_flight - 1 do
       let p = env.flight.(j) in
@@ -456,6 +465,15 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
               invalid_arg
                 (Printf.sprintf
                    "Net.Sim: replica %d replied to unknown client %d" r c);
+            (match state.(c) with
+            | Finished -> stale := true
+            | At_recv _ -> ()
+            | Not_started _ ->
+              invalid_arg
+                (Printf.sprintf
+                   "Net.Sim: replica %d replied to client %d, which has not \
+                    started"
+                   r c));
             (* Replies join the causal trace of the request. *)
             transmit env ~src:p.dst ~dst:me.(c).addr ~ctx:p.ctx reply)
           (handler ~replica:r ~src p.payload)
@@ -478,25 +496,19 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
               max_steps env.in_flight
               (env.ctr.timeouts - c0.timeouts)))
   in
-  let deliverable p =
-    match p.dst with Replica _ -> true | Client j -> waiting j
-  in
   (* The actions, in canonical order, are the unstarted clients by id
      and then the deliverable packets by seq; the policy picks an index
-     into that list. *)
+     into that list.  Packets go from a client to a replica or from a
+     replica to a client that has started, which is blocked in [recv]
+     unless it returned; so once the packets to returned clients are
+     purged, every packet in flight is deliverable and packet action
+     [k] is [flight.(k)]. *)
   let rec loop () =
-    purge ();
-    let unstarted = ref 0 in
-    for i = 0 to nc - 1 do
-      match state.(i) with Not_started _ -> incr unstarted | _ -> ()
-    done;
-    let actions = ref !unstarted in
-    for j = 0 to env.in_flight - 1 do
-      if deliverable env.flight.(j) then incr actions
-    done;
-    if !actions = 0 then begin
+    if !stale then purge ();
+    let actions = !unstarted + env.in_flight in
+    if actions = 0 then begin
       (* Quiescent: either everything returned, or every live client is
-         blocked in [recv] with nothing deliverable — fire a timeout so
+         blocked in [recv] with nothing in flight — fire a timeout so
          protocols can retransmit. *)
       let rec first_waiting j =
         if j = nc then -1 else if waiting j then j else first_waiting (j + 1)
@@ -520,54 +532,35 @@ let run env ?(policy = Csim.Schedule.Round_robin) ?(max_steps = 200_000) procs =
     else begin
       check_budget ();
       let idx =
-        Csim.Schedule.pick driver ~enabled:(enabled !actions) ~step:env.step
+        Csim.Schedule.pick driver ~enabled:(enabled actions) ~step:env.step
       in
       if idx < !unstarted then begin
         (* The [idx]-th unstarted client. *)
         let rec nth i left =
           match state.(i) with
-          | Not_started f when left = 0 -> start state me.(i) f
+          | Not_started f when left = 0 ->
+            decr unstarted;
+            start state me.(i) ~on_return f
           | Not_started _ -> nth (i + 1) (left - 1)
           | At_recv _ | Finished -> nth (i + 1) left
         in
         nth 0 idx
       end
       else begin
-        (* The [idx - unstarted]-th deliverable packet. *)
-        let rec nth j left =
-          let p = env.flight.(j) in
-          if not (deliverable p) then nth (j + 1) left
-          else if left > 0 then nth (j + 1) (left - 1)
-          else begin
-            remove_flight env j;
-            deliver p
-          end
-        in
-        nth 0 (idx - !unstarted)
+        let j = idx - !unstarted in
+        let p = env.flight.(j) in
+        remove_flight env j;
+        deliver p
       end;
       loop ()
     end
   in
-  (* Drain the backlog still addressed to replicas so every request is
-     eventually handled (late acks to returned clients expire).  This
-     makes per-operation message counts exact: a run with no faults
-     sends precisely the ABD bound. *)
-  let rec flush () =
-    purge ();
-    let rec first j =
-      if j = env.in_flight then -1
-      else match env.flight.(j).dst with Replica _ -> j | Client _ -> first (j + 1)
-    in
-    let j = first 0 in
-    if j >= 0 then begin
-      let p = env.flight.(j) in
-      remove_flight env j;
-      deliver p;
-      flush ()
-    end
-  in
-  Fun.protect ~finally:(fun () -> unwind state) (fun () -> loop (); flush ());
-  purge ();
+  (* The loop ends with every client returned and nothing in flight:
+     replica-bound packets stay actions until they are delivered, so
+     late requests are still handled and message counts are exact (a
+     run with no faults sends precisely the ABD bound), and late acks
+     to returned clients have expired. *)
+  Fun.protect ~finally:(fun () -> unwind state) loop;
   let c1 = totals env in
   {
     steps = env.step - start_step;

@@ -62,7 +62,10 @@ type packet = {
 type handler = replica:int -> src:int -> payload -> (int * payload) list
 (** Replica logic: given the replica id, the sending client and the
     message, return the replies to send as [(client, payload)] pairs.
-    Handlers run atomically at delivery. *)
+    Handlers run atomically at delivery.  A reply may go to any client
+    that has started (usually [src]); a reply to a client that has not
+    started raises [Invalid_argument], which keeps every message
+    between a replica and a started client (see {!run}). *)
 
 type env
 
@@ -194,13 +197,22 @@ val run :
   ?max_steps:int ->
   (unit -> unit) array ->
   stats
-(** Run the client processes to completion over this network, then
-    drain remaining replica-bound packets (so late requests are still
-    handled and message counts are exact).  The scheduler's enabled set
-    at each step is the canonical action list — unstarted clients in id
-    order, then pending deliveries in [seq] order — and the policy
-    picks an {e index} into it, which is what [Scripted] replay scripts
-    record.  Raises {!Stuck} after [max_steps] scheduling events
+(** Run the client processes to completion over this network, and
+    until no replica-bound packet is left in flight (so late requests
+    are still handled and message counts are exact).  The scheduler's
+    enabled set at each step is the canonical action list — unstarted
+    clients in id order, then pending deliveries in [seq] order — and
+    the policy picks an {e index} into it, which is what [Scripted]
+    replay scripts record.
+
+    Deliverability invariant: a message goes from a client to a replica
+    or from a replica to a started client, and a started client is
+    blocked in {!recv} unless it returned.  Packets to returned clients
+    expire (counted in [expired]) as soon as a client returns or a
+    replica replies to a returned client, so at every step every packet
+    in flight is deliverable: the action count is [unstarted +
+    in-flight] and packet action [k] is the [k]-th packet in flight,
+    both found without a scan.  Raises {!Stuck} after [max_steps] scheduling events
     (default 200_000) without completion.  When [run] raises, every
     client still blocked in {!recv} is unwound (resumed with a private
     exception), so its fiber is freed and its finalisers run once. *)

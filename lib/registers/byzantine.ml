@@ -57,43 +57,38 @@ let mk_link (mem : Memory.t) ~name ~bits ~f init =
 
 let write_link l x = Array.iter (fun c -> c.Memory.write x) l.reps
 
-(* Collect all replicas, vote, keep the link monotone.  Support is
-   counted on structurally equal (ts, v) pairs: correct replicas of a
-   link hold identical pairs because they are written with the same
-   tagged value. *)
+(* Support is counted on structurally equal (ts, v) pairs: correct
+   replicas of a link hold identical pairs because they are written with
+   the same tagged value, so most agreeing pairs are physically equal,
+   and pairs with different timestamps never need their values walked.
+   Only a pair fresher than the current answer can change it, so the
+   others are not counted at all. *)
+let vote ~f ~last seen =
+  let n = Array.length seen in
+  let best = ref last in
+  for i = 0 to n - 1 do
+    let x = seen.(i) in
+    if x.ts > !best.ts then begin
+      let support = ref 0 in
+      for j = 0 to n - 1 do
+        let y = seen.(j) in
+        if y == x || (y.ts = x.ts && y = x) then incr support
+      done;
+      if !support >= f + 1 then best := x
+    end
+  done;
+  !best
+
+(* Collect all replicas, vote, keep the link monotone. *)
 let read_link l =
   let seen = Array.map (fun c -> c.Memory.read ()) l.reps in
-  let best = ref None in
-  Array.iter
-    (fun x ->
-      let support =
-        Array.fold_left (fun a y -> if y = x then a + 1 else a) 0 seen
-      in
-      if support >= l.lf + 1 then
-        match !best with
-        | Some b when b.ts >= x.ts -> ()
-        | _ -> best := Some x)
-    seen;
-  (match !best with
-  | Some x when x.ts > l.last.ts -> l.last <- x
-  | _ -> ());
-  l.last
+  let x = vote ~f:l.lf ~last:l.last seen in
+  l.last <- x;
+  x
 
+(* Ghost vote over [peek]s: never mutates [last], never an event. *)
 let peek_link l =
-  (* Ghost vote over [peek]s: never mutates [last], never an event. *)
-  let seen = Array.map (fun c -> c.Memory.peek ()) l.reps in
-  let best = ref None in
-  Array.iter
-    (fun x ->
-      let support =
-        Array.fold_left (fun a y -> if y = x then a + 1 else a) 0 seen
-      in
-      if support >= l.lf + 1 then
-        match !best with
-        | Some b when b.ts >= x.ts -> ()
-        | _ -> best := Some x)
-    seen;
-  match !best with Some x when x.ts > l.last.ts -> x | _ -> l.last
+  vote ~f:l.lf ~last:l.last (Array.map (fun c -> c.Memory.peek ()) l.reps)
 
 type 'a t = {
   w2r : 'a link array;  (* writer -> reader j *)

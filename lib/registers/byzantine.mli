@@ -29,6 +29,19 @@ open Csim
 
 type 'a t
 
+type 'a tagged = { ts : int; v : 'a }
+(** A value with the writer's sequence number, as every base cell of a
+    link holds it. *)
+
+val vote : f:int -> last:'a tagged -> 'a tagged array -> 'a tagged
+(** [vote ~f ~last seen] is one link read's vote over the [2f + 1]
+    pairs [seen] collected from the link's base cells: the
+    highest-timestamp pair that at least [f + 1] entries of [seen]
+    equal (structurally), the first such in [seen] order; or [last],
+    the freshest pair validated before, when no such pair has a larger
+    timestamp than [last].  Values are compared with [(=)], so they
+    must not hold functions or NaN floats. *)
+
 val create :
   Memory.t -> name:string -> bits:int -> f:int -> readers:int -> 'a -> 'a t
 (** Allocate the [(readers + readers²) · (2f+1)] base cells of one

@@ -321,6 +321,68 @@ let test_memory_adapter_over_budget_adversary () =
   check int "the adversary did claim its cell" 1 counters.Faults.byz_cells;
   check int "ghost peek agrees" 6 (c.Memory.peek ())
 
+(* The link vote as first written: support counted with structural [=]
+   over whole pairs, the best pair kept in an option. *)
+let structural_vote ~f ~(last : 'a Registers.Byzantine.tagged) seen =
+  let open Registers.Byzantine in
+  let best = ref None in
+  Array.iter
+    (fun x ->
+      let support =
+        Array.fold_left (fun a y -> if y = x then a + 1 else a) 0 seen
+      in
+      if support >= f + 1 then
+        match !best with
+        | Some b when b.ts >= x.ts -> ()
+        | _ -> best := Some x)
+    seen;
+  match !best with Some x when x.ts > last.ts -> x | _ -> last
+
+(* [vote] picks the very pair (physically) the structural vote picks.
+   Each of the 2f + 1 entries is the initial pair a liar answers with
+   ([last] itself or a copy), the previous entry again, or a fresh pair
+   from few timestamps and two values: equal-[ts] pairs with different
+   values, and structurally equal pairs that are physically distinct. *)
+let qcheck_vote_matches_structural =
+  let open Registers.Byzantine in
+  let entry =
+    QCheck2.Gen.(
+      oneof
+        [
+          pure `Last;
+          pure `Last_copy;
+          pure `Previous;
+          map2 (fun ts v -> `Fresh (ts, v)) (int_range 0 3) (int_range 0 1);
+        ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 2 >>= fun f ->
+      pair (pure f) (pair (int_range 0 2) (list_repeat ((2 * f) + 1) entry)))
+  in
+  let value k = String.make 1 (Char.chr (Char.code 'a' + k)) in
+  QCheck2.Test.make ~count:2000
+    ~name:"vote picks what the structural vote picks" gen
+    (fun (f, (last_ts, entries)) ->
+      let last = { ts = last_ts; v = value 0 } in
+      let prev = ref last in
+      let seen =
+        Array.of_list
+          (List.map
+             (fun e ->
+               let x =
+                 match e with
+                 | `Last -> last
+                 | `Last_copy -> { ts = last.ts; v = value 0 }
+                 | `Previous -> !prev
+                 | `Fresh (ts, k) -> { ts; v = value k }
+               in
+               prev := x;
+               x)
+             entries)
+      in
+      vote ~f ~last seen == structural_vote ~f ~last seen)
+
 let test_cost_formulas () =
   check int "replication 2f+1" 5 (Registers.Byzantine.replication ~f:2);
   check int "base registers (R + R^2)(2f+1)" 60
@@ -631,7 +693,9 @@ let () =
         ] );
       ( "contract",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_wrapped_reads_are_plausible ] );
+          [
+            qcheck_wrapped_reads_are_plausible; qcheck_vote_matches_structural;
+          ] );
       ( "construction",
         [
           Alcotest.test_case "masks exactly f liars" `Quick

@@ -690,6 +690,26 @@ let test_causal_clean_run () =
   in
   check bool "has phases" true (phases <> []);
   check int "3 rpcs per phase" (3 * List.length phases) (List.length rpcs);
+  (* ABD op and phase spans are named after the register they touch;
+     the names are built only when a collector is attached. *)
+  let names kind =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun s ->
+           if s.Obs.Causal.kind = kind then Some s.Obs.Causal.name else None)
+         spans)
+  in
+  let per_reg prefix = List.init 4 (fun r -> prefix ^ string_of_int r) in
+  check
+    (Alcotest.list Alcotest.string)
+    "op span names"
+    (per_reg "abd.read reg" @ per_reg "abd.write reg")
+    (names Obs.Causal.Op);
+  check
+    (Alcotest.list Alcotest.string)
+    "phase span names"
+    (per_reg "query reg" @ per_reg "write reg")
+    (names Obs.Causal.Phase);
   (* a quorum op abandons the slowest replica's rpc once the quorum
      acks, so unclosed spans are always rpcs — never ops, phases or
      composite note spans, which all complete in a clean run *)
