@@ -33,8 +33,11 @@ let check spec ~init ops =
        custom equality is coarser than structural (false negatives,
        wasted re-search) and — worse — conflate states that are
        structurally similar but semantically distinct under a custom
-       [equal_state] (false cache hits). *)
-    let visited : (int, 's list) Hashtbl.t = Hashtbl.create 4096 in
+       [equal_state] (false cache hits).  The table starts small and
+       grows with the search, so a short history does not pay for a
+       long one: a table sized for long searches would go to the major
+       heap on every call. *)
+    let visited : (int, 's list) Hashtbl.t = Hashtbl.create 16 in
     let seen mask state =
       match Hashtbl.find_opt visited mask with
       | None -> false

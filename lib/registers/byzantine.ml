@@ -43,14 +43,14 @@ type 'a link = {
   mutable last : 'a tagged;  (* freshest validated pair (reader-private) *)
 }
 
-let mk_link (mem : Memory.t) ~name ~bits ~f init =
+(* [suffixes.(i)] names replica [i]: the cell is [name ^ suffixes.(i)]. *)
+let mk_link (mem : Memory.t) ~name ~suffixes ~bits ~f init =
   let t0 = { ts = 0; v = init } in
   {
     reps =
-      Array.init
-        ((2 * f) + 1)
-        (fun i ->
-          mem.Memory.make ~name:(name ^ ".rep" ^ string_of_int i) ~bits t0);
+      Array.map
+        (fun sfx -> mem.Memory.make ~name:(name ^ sfx) ~bits t0)
+        suffixes;
     lf = f;
     last = t0;
   }
@@ -98,21 +98,45 @@ type 'a t = {
   mutable wseq : int;
 }
 
-let create (mem : Memory.t) ~name ~bits ~f ~readers init =
+(* The shape of a register, with its replica-name suffixes built once
+   for every register of that shape: [w2r_sfx.(j).(k)] is
+   [".w2r<j>.rep<k>"] and [r2r_sfx.(i).(j).(k)] is [".r<i>r<j>.rep<k>"].
+   A cell name is then one concatenation, and building a shape calls
+   [string_of_int], which is costly next to the rest of a register's
+   set-up, only 2f + 1 + readers times. *)
+type shape = {
+  sf : int;
+  sreaders : int;
+  w2r_sfx : string array array;
+  r2r_sfx : string array array array;
+}
+
+let shape ~f ~readers =
   if f < 0 then invalid_arg "Byzantine.create: f must be >= 0";
   if readers < 1 then invalid_arg "Byzantine.create: readers must be >= 1";
-  let w2r =
-    Array.init readers (fun j ->
-        mk_link mem ~name:(name ^ ".w2r" ^ string_of_int j) ~bits ~f init)
-  in
-  let r2r =
-    Array.init readers (fun i ->
-        Array.init readers (fun j ->
-            mk_link mem
-              ~name:(name ^ ".r" ^ string_of_int i ^ "r" ^ string_of_int j)
-              ~bits ~f init))
-  in
-  { w2r; r2r; readers; f; wseq = 0 }
+  let rep = Array.init ((2 * f) + 1) (fun k -> ".rep" ^ string_of_int k) in
+  let port = Array.init readers string_of_int in
+  let reps link = Array.map (fun r -> link ^ r) rep in
+  {
+    sf = f;
+    sreaders = readers;
+    w2r_sfx = Array.map (fun j -> reps (".w2r" ^ j)) port;
+    r2r_sfx =
+      Array.map
+        (fun i -> Array.map (fun j -> reps (".r" ^ i ^ "r" ^ j)) port)
+        port;
+  }
+
+(* Links are allocated writer posts first, then the relay matrix row by
+   row: the budgeted Byzantine adversary claims cells in this order. *)
+let build (mem : Memory.t) sh ~name ~bits init =
+  let link suffixes = mk_link mem ~name ~suffixes ~bits ~f:sh.sf init in
+  let w2r = Array.map link sh.w2r_sfx in
+  let r2r = Array.map (Array.map link) sh.r2r_sfx in
+  { w2r; r2r; readers = sh.sreaders; f = sh.sf; wseq = 0 }
+
+let create mem ~name ~bits ~f ~readers init =
+  build mem (shape ~f ~readers) ~name ~bits init
 
 let write t v =
   t.wseq <- t.wseq + 1;
@@ -161,6 +185,7 @@ let write_cost ~f ~readers = replication ~f * readers
 (* ------------------------------------------------------------------ *)
 
 let memory ?self ~f ~readers (base : Memory.t) =
+  let sh = shape ~f ~readers in
   let self =
     match self with
     | Some s -> s
@@ -168,7 +193,7 @@ let memory ?self ~f ~readers (base : Memory.t) =
   in
   let make : type a. name:string -> bits:int -> a -> a Memory.cell =
    fun ~name ~bits init ->
-    let r = create base ~name ~bits ~f ~readers init in
+    let r = build base sh ~name ~bits init in
     {
       Memory.read = (fun () -> read r ~reader:(self ()));
       write = (fun v -> write r v);

@@ -74,4 +74,5 @@ val memory : ?self:(unit -> int) -> f:int -> readers:int -> Memory.t -> Memory.t
     [self] names the reading process (the reader port used for the
     relay matrix) and defaults to {!Sim.self}, falling back to port [0]
     outside a simulation; [readers] must cover every process that will
-    read. *)
+    read.  Raises [Invalid_argument], with {!create}'s messages, if
+    [f < 0] or [readers < 1]. *)
