@@ -1231,12 +1231,13 @@ let e18 ~jobs () =
    followed by one synchronous update whose end-to-end latency is
    sampled: mailbox -> shard drain -> publish -> ack, where the drain is
    run by whoever holds the shard's drain token (usually the writer
-   itself; the applier domains drain the posts) — while R reader
-   domains scan at full speed until the writers finish.  Throughput and
-   latency are wall-clock (shape only); the coalesce and
-   cache ratios come from the exact serve counters.  Runs even under
-   --quick: each cell is a few hundred milliseconds and CI validates the
-   E17 rows in BENCH.json. *)
+   itself, which publishes its burst's posts in the same pass) — while
+   R reader domains scan at full speed until the writers finish.  A
+   final [Serve.drain] publishes anything left, so the counters are
+   read at quiescence.  Throughput and latency are wall-clock (shape
+   only); the coalesce and cache ratios come from the exact serve
+   counters.  Runs even under --quick: each cell is a few hundred
+   milliseconds and CI validates the E17 rows in BENCH.json. *)
 let e17 () =
   section
     "E17: serving layer — throughput/latency vs shards, burst size, caching";
@@ -1258,7 +1259,6 @@ let e17 () =
     let srv =
       Serve.create ~cache ~shards ~readers ~init:(Array.make components 0) ()
     in
-    Serve.start srv;
     let update_lat = Array.init components (fun _ -> ref []) in
     let post_lat = Array.init components (fun _ -> ref []) in
     let scan_lat = Array.init readers (fun _ -> ref []) in
@@ -1292,7 +1292,7 @@ let e17 () =
     let domains = List.init components writer @ List.init readers reader in
     List.iter Domain.join domains;
     let elapsed = Unix.gettimeofday () -. t0 in
-    Serve.shutdown srv;
+    Serve.drain srv;
     let st = Serve.stats srv in
     let sorted rs =
       let a =
@@ -1554,8 +1554,8 @@ let e19 ~quick () =
      the row records the measured ratio honestly either way.
    - afek_fast_path: serving throughput with the Afek outer (default)
      vs the Anderson oracle under forced outer collects, plus a
-     deterministic manual-mode differential replay that must agree scan
-     for scan (differential_ok). *)
+     deterministic single-thread differential replay that must agree
+     scan for scan (differential_ok). *)
 let e20 ~quick () =
   section "E20: raw-speed campaign — scan-sharing, padding, Afek";
   let t =
@@ -1566,10 +1566,10 @@ let e20 ~quick () =
   let readers = 8 and components = 8 and shards = 4 in
   let scan_ops = if quick then 3_000 else 10_000 in
   (* 8 reader domains race through [scan_ops] uncached scans each while
-     this thread injects invalidations (post + manual drain) between
-     short sleeps — manual mode, so no applier domain busy-spins and
-     the readers own the cores.  A start barrier and a done counter
-     keep domain spawn/join out of the timed window. *)
+     this thread injects invalidations (post + drain) between short
+     sleeps, so no other domain busy-spins and the readers own the
+     cores.  A start barrier and a done counter keep domain spawn/join
+     out of the timed window. *)
   let scan_leg ~combine =
     let srv =
       Serve.create ~combine ~cache:false ~shards ~readers
@@ -1744,7 +1744,7 @@ let e20 ~quick () =
   let afek_speedup =
     if anderson_per_ms = 0. then 0. else afek_per_ms /. anderson_per_ms
   in
-  (* Deterministic manual-mode differential replay: the Anderson oracle
+  (* Deterministic single-thread differential replay: the Anderson oracle
      and the Afek fast path must agree scan for scan. *)
   let differential_ok =
     let lcg = ref 98765 in
@@ -1819,8 +1819,10 @@ let e20 ~quick () =
 (* Elastic sharding: what an online reshard costs.  Two questions:
    how deep is the throughput dip while an epoch switch drains,
    migrates and republishes under live load (and does it recover), and
-   how does the quiesce-migrate-publish cost scale with the shard
-   count when there is no load at all.
+   how does the drain-migrate-publish cost scale with the shard count
+   when there is no load at all.  Every drain is a caller's: the
+   writers' synchronous updates, the reshard's boundary sweep and a
+   final [Serve.drain] before the counters are checked.
 
    Wall-clock numbers (throughputs, dip/recovery ratios, migration
    nanoseconds) are machine-dependent and carried in baseline-skipped
@@ -1884,7 +1886,6 @@ let e22 ~quick () =
         ~max_shards:(max from_s to_s)
         ~readers ~init ()
     in
-    Serve.start srv;
     let before = stint srv ~per_writer ~per_reader in
     let baseline_applied = (Serve.stats srv).Serve.applied in
     let switch_ns = ref 0 in
@@ -1903,7 +1904,7 @@ let e22 ~quick () =
     let during = stint srv ~per_writer ~per_reader in
     Domain.join resharder;
     let after = stint srv ~per_writer ~per_reader in
-    Serve.shutdown srv;
+    Serve.drain srv;
     let epoch = Serve.epoch srv in
     let accounting_ok = Serve.check_identities srv = Ok () in
     let clean = accounting_ok && epoch = 1 in
@@ -1952,7 +1953,6 @@ let e22 ~quick () =
   in
   let mig_cell s =
     let srv = Serve.create ~shards:s ~max_shards:(2 * s) ~readers ~init () in
-    Serve.start srv;
     for k = 0 to components - 1 do
       ignore (Serve.update srv ~writer:k (k + 100) : int)
     done;
@@ -1963,7 +1963,7 @@ let e22 ~quick () =
     in
     let grow_ns = time (fun () -> Serve.reshard srv ~shards:(2 * s)) in
     let shrink_ns = time (fun () -> Serve.reshard srv ~shards:s) in
-    Serve.shutdown srv;
+    Serve.drain srv;
     let epoch = Serve.epoch srv in
     let accounting_ok = Serve.check_identities srv = Ok () in
     let clean = accounting_ok && epoch = 2 in

@@ -58,9 +58,9 @@ let of_handle ~label ~workers (h : int Composite.Snapshot.t) =
 
 let of_serve ?outer ?max_shards ~shards ~workers ~init () =
   if workers < 1 then invalid_arg "Edge.Backend.of_serve: workers must be >= 1";
-  (* No applier domain: each worker publishes the posts waiting in the
-     mailboxes just before it blocks ([drain_ready]), sync writes drain
-     themselves, and [shutdown] is a manual drain. *)
+  (* Each worker publishes the posts waiting in the mailboxes just
+     before it blocks ([drain_ready]), sync writes drain themselves, and
+     [shutdown] is a final drain. *)
   let srv = Serve.create ?outer ?max_shards ~shards ~readers:workers ~init () in
   let components = Array.length init in
   let label =

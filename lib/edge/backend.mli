@@ -61,16 +61,15 @@ val of_serve :
   init:int array ->
   unit ->
   t
-(** A sharded serving instance with [workers] readers, run with no
-    applier domain ({!Serve} in manual mode).  [post] is the wait-free
-    mailbox channel ({!Serve.post}), and the server's workers publish
-    posts themselves: [drain_ready] is {!Serve.drain_ready}, which each
-    worker calls before it blocks, so a post is published on the worker
-    that took it, right after its reply is sent.  [write] is
+(** A sharded serving instance with [workers] readers.  [post] is the
+    wait-free mailbox channel ({!Serve.post}), and the server's workers
+    publish posts themselves: [drain_ready] is {!Serve.drain_ready},
+    which each worker calls before it blocks, so a post is published on
+    the worker that took it, right after its reply is sent.  [write] is
     {!Serve.update}, which drains its own shard.  [max_shards]
     (default [shards]) bounds what the [caps.reconfigure] capability —
     wired to {!Serve.reshard} — may grow the service to.  [shutdown] is
-    a manual {!Serve.drain} of whatever posts are still pending once
+    a final {!Serve.drain} of whatever posts are still pending once
     the workers have stopped; [identities_ok] is then
     {!Serve.check_identities}: the lifetime totals and every per-epoch
     slice of {!Serve.epoch_stats}. *)

@@ -20,9 +20,9 @@
     Each worker calls the backend's [drain_ready] once per scheduler
     round, just before it blocks in [select] ({!Sched.run}'s
     [before_select]): over {!Backend.of_serve} that publishes the posts
-    the round's fibers left in the mailboxes, on the same worker and
-    with no applier domain.  If it left a post behind a busy drain
-    token, the round polls instead of blocking.
+    the round's fibers left in the mailboxes, on the same worker.  If
+    it left a post behind a busy drain token, the round polls instead
+    of blocking.
 
     A malformed frame gets an ['e'] response and a closed
     connection; the server survives and counts it.  Backend

@@ -48,20 +48,15 @@ type 'a shared = { stamp : int; sview : 'a cache }
 
 module Pad = Composite.Padded_atomic
 
-(* Bounded exponential backoff for spin waits — the same shape as the
-   ABD retransmit policy (PR 6): the delay doubles from [base] up to
-   [cap] and collapses back to [base] on progress.  Every full wave
-   spent at the cap bumps the [stalls] counter, so a waiter burning a
-   core on a descheduled applier shows up in the accounting instead of
-   spinning invisibly. *)
+(* Bounded exponential backoff for spin waits, the same shape as the
+   ABD retransmit policy: the delay doubles from 1 up to [cap].  Every
+   full wave spent at the cap bumps the [stalls] counter, so a waiter
+   burning a core on a descheduled token holder or combiner shows up in
+   the accounting instead of spinning invisibly. *)
 module Backoff = struct
   type t = { mutable delay : int; cap : int; stalls : int Atomic.t }
 
-  let base = 1
-  let default_cap = 4096
-
-  let make ?(cap = default_cap) stalls = { delay = base; cap; stalls }
-  let reset b = b.delay <- base
+  let make ?(cap = 4096) stalls = { delay = 1; cap; stalls }
 
   let once b =
     if b.delay >= b.cap then begin
@@ -78,8 +73,6 @@ module Backoff = struct
       done;
       b.delay <- min b.cap (b.delay * 2)
     end
-
-  let stall_count b = Atomic.get b.stalls
 end
 
 type stats = {
@@ -156,8 +149,6 @@ type 'a t = {
   r_performed : int Atomic.t array;
   caches : 'a cache option array;  (* per reader; touched only by it *)
   stalls : int Atomic.t;  (* backoff waves that hit the cap *)
-  stop : bool Atomic.t;
-  mutable appliers : unit Domain.t list;
   cur_epoch : int Atomic.t;
   reconfig : Mutex.t;
   (* Cumulative stats at the start of each epoch, newest first:
@@ -305,8 +296,6 @@ let create ?(outer = Outer_afek) ?(cache = true) ?(combine = true)
     r_performed = Pad.array readers 0;
     caches = Array.make readers None;
     stalls = Pad.make 0;
-    stop = Pad.make false;
-    appliers = [];
     cur_epoch = Pad.make 0;
     reconfig = Mutex.create ();
     epoch_log = [ (0, shards, zero_stats) ];
@@ -322,7 +311,7 @@ let with_span t name f =
     r
 
 (* ------------------------------------------------------------------ *)
-(* Write path: mailboxes, coalescing, drain tokens, appliers           *)
+(* Write path: mailboxes, coalescing, drain tokens                      *)
 (* ------------------------------------------------------------------ *)
 
 let post t ~writer v =
@@ -337,14 +326,14 @@ let post t ~writer v =
   | None -> ()
   | Some _ -> Atomic.incr t.coalesced.(writer)
 
-(* One pass over the owned mailboxes; returns whether anything was
-   applied.  The caller holds shard [s]'s drain token.  Each mailbox has
-   one writer and is emptied only by the holder of its owning shard's
-   token, so the value it holds is always that writer's latest post and
-   applied tickets rise per component without any check here.  An empty
-   mailbox costs one load, not an exchange (a post landing after the
-   load is picked up by the next pass), and an idle pass allocates
-   nothing: the applier runs it on every poll. *)
+(* One pass over the owned mailboxes.  The caller holds shard [s]'s
+   drain token.  Each mailbox has one writer and is emptied only by the
+   holder of its owning shard's token, so the value it holds is always
+   that writer's latest post and applied tickets rise per component
+   without any check here.  An empty mailbox costs one load, not an
+   exchange (a post landing after the load is picked up by the next
+   pass), and an idle pass allocates nothing, so an idle [drain] is
+   free. *)
 let drain_shard t s =
   let off = t.slice_off.(s) and len = t.slice_len.(s) in
   let acks = ref [] in
@@ -363,7 +352,7 @@ let drain_shard t s =
         acks := (k, ticket, id) :: !acks)
   done;
   match !acks with
-  | [] -> false
+  | [] -> ()
   | acks ->
     (* Freshness invariant: bump the cell BEFORE the publish.  A cell
        can then read ahead of the outer register (a harmless forced
@@ -383,8 +372,7 @@ let drain_shard t s =
     Atomic.incr t.publishes.(s);
     (* Acks only after the publish: a synchronous update that saw its
        ticket acked knows its value is in the outer register. *)
-    List.iter (fun (k, ticket, id) -> Atomic.set t.acked.(k) (ticket, id)) acks;
-    true
+    List.iter (fun (k, ticket, id) -> Atomic.set t.acked.(k) (ticket, id)) acks
 
 (* Drain tokens.  [try_token] is one test-and-test-and-set; [take_token]
    waits for the token with backoff and allocates only when it is
@@ -409,13 +397,11 @@ let release_token t s = Atomic.set t.tokens.(s) false
    Returns whether the epoch was unchanged, i.e. whether it drained. *)
 let drain_held t ~epoch s =
   let current = Atomic.get t.cur_epoch = epoch in
-  if current then ignore (drain_shard t s : bool);
+  if current then drain_shard t s;
   release_token t s;
   current
 
 let drain t =
-  if t.appliers <> [] then
-    invalid_arg "Serve.drain: appliers are running; drain is for manual mode";
   (* A reshard during this loop drained every mailbox in its boundary
      sweep, so skipping the stale indices loses nothing. *)
   let epoch = Atomic.get t.cur_epoch in
@@ -443,45 +429,9 @@ let drain_ready t =
   done;
   !left
 
-let applier t s () =
-  let b = Backoff.make t.stalls in
-  while not (Atomic.get t.stop) do
-    (* A busy token means a synchronous update is draining this shard
-       itself: back off as if idle. *)
-    if try_token t s then begin
-      let progressed = drain_shard t s in
-      release_token t s;
-      if progressed then Backoff.reset b else Backoff.once b
-    end
-    else Backoff.once b
-  done;
-  (* One sweep after the stop flag, waiting for the token if an update
-     holds it: posts that raced with shutdown must still be applied. *)
-  take_token t s;
-  ignore (drain_shard t s : bool);
-  release_token t s
-
-let start t =
-  Mutex.lock t.reconfig;
-  if t.appliers <> [] then begin
-    Mutex.unlock t.reconfig;
-    invalid_arg "Serve.start: already started"
-  end;
-  Atomic.set t.stop false;
-  t.appliers <- List.init t.cur_shards (fun s -> Domain.spawn (applier t s));
-  Mutex.unlock t.reconfig
-
-let shutdown t =
-  Mutex.lock t.reconfig;
-  Atomic.set t.stop true;
-  List.iter Domain.join t.appliers;
-  t.appliers <- [];
-  Mutex.unlock t.reconfig
-
 (* A synchronous write publishes itself: until its ticket is acked, the
-   writer drains its own shard whenever the shard's token is free, so it
-   never waits on an applier.  The epoch is read before the owner and
-   re-read under the token.  [reshard] swaps the layout only while it
+   writer drains its own shard whenever the shard's token is free.  The
+   epoch is read before the owner and re-read under the token.  [reshard] swaps the layout only while it
    holds every token and bumps the epoch before releasing them, so an
    unchanged epoch means [owner.(writer)] and the layout [drain_shard]
    reads belong to this epoch; otherwise the writer retries in the new
@@ -694,21 +644,14 @@ let reshard t ~shards:s' =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.reconfig) @@ fun () ->
   let e = Atomic.get t.cur_epoch in
   with_span t (Printf.sprintf "reshard.e%d" (e + 1)) @@ fun () ->
-  let running = t.appliers <> [] in
-  (* 1. Quiesce the appliers of the closing epoch, then take every drain
-     token — all [max_shards] of them, not only the closing epoch's, so
-     that an update which read the new owner map before the epoch bump
-     cannot drain under it.  From here to the release this thread is
-     the only drainer.  Posts and scans keep flowing: posts land in
-     mailboxes and are drained into the new layout; scans decode
-     whichever configuration the outer register holds when they
-     collect; synchronous updates wait for the tokens and then drain
-     themselves in the new epoch. *)
-  if running then begin
-    Atomic.set t.stop true;
-    List.iter Domain.join t.appliers;
-    t.appliers <- []
-  end;
+  (* 1. Take every drain token — all [max_shards] of them, not only the
+     closing epoch's, so that an update which read the new owner map
+     before the epoch bump cannot drain under it.  From here to the
+     release this thread is the only drainer.  Posts and scans keep
+     flowing: posts land in mailboxes and are drained into the new
+     layout; scans decode whichever configuration the outer register
+     holds when they collect; synchronous updates wait for the tokens
+     and then drain themselves in the new epoch. *)
   for s = 0 to t.max_shards - 1 do
     take_token t s
   done;
@@ -716,7 +659,7 @@ let reshard t ~shards:s' =
      anything still pending is drained in the new epoch, whose shards
      own every mailbox between them). *)
   for s = 0 to t.cur_shards - 1 do
-    ignore (drain_shard t s : bool)
+    drain_shard t s
   done;
   (* 2. Boundary: everything applied up to this instant, as C items
      with their auxiliary ids. *)
@@ -755,7 +698,7 @@ let reshard t ~shards:s' =
   in
   (* 4. Install the new layout, bump the epoch, and only then release
      the tokens: a drainer that takes a token afterwards sees the new
-     epoch, and one that read the old epoch retries.  Then respawn. *)
+     epoch, and one that read the old epoch retries. *)
   t.cur_shards <- s';
   t.slice_off <- slice_off;
   t.slice_len <- slice_len;
@@ -766,11 +709,7 @@ let reshard t ~shards:s' =
   t.epoch_log <- (e + 1, s', record_boundary) :: t.epoch_log;
   for s = 0 to t.max_shards - 1 do
     release_token t s
-  done;
-  if running then begin
-    Atomic.set t.stop false;
-    t.appliers <- List.init s' (fun s -> Domain.spawn (applier t s))
-  end
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Read path: scan-sharing, full scans and the validated cache          *)

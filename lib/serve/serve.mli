@@ -22,10 +22,11 @@
     the handoff is wait-free.  A {e drain} of a shard empties its
     mailboxes, folds the batch into the shard state, and publishes the
     new view with a single outer-register update.  Each shard has one
-    {e drain token}, and only its holder may drain the shard: the
-    shard's {e applier} domain ({!start}) takes it on every poll,
-    {!drain}, {!drain_ready} and {!reshard} take it, and so does a
-    synchronous {!update}.  Posts to a component that arrive while an
+    {e drain token}, and only its holder may drain the shard.  There is
+    no helper domain: every drainer is a caller — a synchronous
+    {!update}, {!drain}, {!drain_ready} or {!reshard} — and a post is
+    published by the next of these that drains its shard.  Posts to a
+    component that arrive while an
     earlier post is still in the mailbox {e coalesce}: the mailbox
     keeps only the latest value and the earlier one is counted in the
     coalesce counters.  Because the exchange is atomic, every post is
@@ -40,8 +41,7 @@
     The synchronous {!update} (the {!handle} path used by the stress
     harness and checkers) posts and then, until its ticket is
     acknowledged, drains its own shard whenever the shard's token is
-    free — it publishes itself instead of waiting for an applier to
-    wake.  Acks are written only after the publish, whoever drains, so
+    free — it publishes itself.  Acks are written only after the publish, whoever drains, so
     the write is in the outer register when [update] returns, and every
     synchronous write receives an auxiliary id — no write checked by
     the history checkers is ever coalesced away.
@@ -108,12 +108,11 @@
     (the shard has not published since the switch, so its components'
     state is exactly the boundary state).
 
-    A reshard quiesces the closing epoch's appliers, takes every drain
-    token, drains, snapshots the boundary, publishes the new
-    configuration (bumping the configuration's version cell first, so
-    every validated cache and shared snapshot of the old epoch goes
-    stale), installs the new layout, bumps the epoch, releases the
-    tokens and respawns appliers.  Writers never stop: posts keep
+    A reshard takes every drain token, drains, snapshots the boundary,
+    publishes the new configuration (bumping the configuration's
+    version cell first, so every validated cache and shared snapshot of
+    the old epoch goes stale), installs the new layout, bumps the epoch
+    and releases the tokens.  Writers never stop: posts keep
     landing in their components' mailboxes, which the new epoch's
     drainers drain into the new layout, so the
     [posted = applied + coalesced + pending] identity holds {e per
@@ -128,11 +127,11 @@
     re-written; the checkers must flag the new-old inversions. *)
 
 (** Bounded exponential backoff for spin waits, shared by every spin
-    site in the serving stack (applier idle loop, drain-token waits,
-    scan-sharing enlistment) and reusable by campaigns and
-    the network edge.  Same shape as the ABD retransmit policy: the
-    delay doubles from 1 up to [cap] relaxations per wave and collapses
-    back on progress.  Every wave spent {e at} the cap increments the
+    site in the serving stack (drain-token waits, scan-sharing
+    enlistment) and reusable by campaigns and the network edge.  Same
+    shape as the ABD retransmit policy: the delay doubles from 1 up to
+    [cap] relaxations per wave.  Every wave spent {e at} the cap
+    increments the
     supplied stall counter — making stalled waiters observable (the
     service feeds its own counter into {!observe} as [serve.stalls]) —
     and {e yields the OS timeslice} instead of spinning: past the cap
@@ -141,24 +140,15 @@
 module Backoff : sig
   type t
 
-  val default_cap : int
-  (** 4096 relaxations per wave. *)
-
   val make : ?cap:int -> int Atomic.t -> t
   (** [make stalls] starts a fresh backoff; waves that reach [cap]
-      (default {!default_cap}) bump [stalls]. *)
+      (default 4096 relaxations) bump [stalls]. *)
 
   val once : t -> unit
   (** Wait one wave ([delay] times [Domain.cpu_relax]), then double the
       delay up to the cap.  At the cap: count a stall and sleep a few
       tens of microseconds (yielding the OS thread) instead of
       spinning. *)
-
-  val reset : t -> unit
-  (** Collapse the delay back to 1 — call on progress. *)
-
-  val stall_count : t -> int
-  (** Current value of the backing stall counter. *)
 end
 
 type outer_impl = Outer_anderson | Outer_afek
@@ -224,18 +214,6 @@ val combining : 'a t -> bool
 val shard_of : 'a t -> int -> int
 (** Owning shard of a component. *)
 
-(** {2 Service lifecycle} *)
-
-val start : 'a t -> unit
-(** Spawn one applier domain per shard.  Raises [Invalid_argument] if
-    already started. *)
-
-val shutdown : 'a t -> unit
-(** Stop and join the appliers.  Each applier performs one final drain
-    after seeing the stop flag, waiting for its shard's token if needed,
-    so posts issued before [shutdown] are still applied.  Callers must
-    have stopped issuing operations. *)
-
 (** {2 Reconfiguration} *)
 
 val reshard : 'a t -> shards:int -> unit
@@ -245,11 +223,9 @@ val reshard : 'a t -> shards:int -> unit
     throughout; a synchronous {!update} issued during the switch waits
     for the drain tokens, which the reshard holds from its boundary
     sweep until the new layout and epoch are in place, and then
-    completes by draining its shard itself in the new epoch.  Works in both
-    modes: with appliers running they are quiesced and respawned over
-    the new layout; in manual mode ({!drain}) only the layout and epoch
-    change.  Serialized with {!start}/{!shutdown} and other reshards.
-    Raises [Invalid_argument] unless [1 <= shards <= max_shards]. *)
+    completes by draining its shard itself in the new epoch.  The
+    boundary sweep publishes every post waiting in a mailbox.
+    Serialized with other reshards.  Raises [Invalid_argument] unless [1 <= shards <= max_shards]. *)
 
 val epoch : 'a t -> int
 (** Current configuration epoch: 0 at creation, +1 per completed
@@ -265,15 +241,18 @@ val caps : 'a t -> Composite.Composite_intf.caps
 val post : 'a t -> writer:int -> 'a -> unit
 (** Asynchronous write: wait-free mailbox handoff, coalescing bursts to
     the same component down to the latest value.  [writer] is the
-    component index (one writer process per component). *)
+    component index (one writer process per component).  The post is
+    published by the next {!update}, {!drain}, {!drain_ready} or
+    {!reshard} that drains its component's shard; until then scans do
+    not see it and it counts as [pending]. *)
 
 val update : 'a t -> writer:int -> 'a -> int
 (** Synchronous write: posts, then returns the auxiliary id the value
     was assigned once it is published.  Until then the writer drains
     its component's shard itself whenever it can take the shard's
-    token, so it never waits on a sleeping applier; if another token
-    holder is draining, it backs off and re-checks its ack.  Works with
-    the appliers running and in manual mode alike. *)
+    token, publishing any posts waiting in that shard as well; if
+    another token holder is draining, it backs off and re-checks its
+    ack. *)
 
 val scan_items : 'a t -> reader:int -> 'a Composite.Item.t array
 (** Linearizable Scan of all [C] components: a cache hit when the
@@ -289,12 +268,12 @@ val handle : 'a t -> 'a Composite.Snapshot.t
     stress harness, checkers and campaigns unchanged. *)
 
 val drain : 'a t -> unit
-(** Manual mode for deterministic unit tests: drain every shard's
-    mailboxes once on the calling thread, as the holder of each shard's
-    token in turn (waiting while a concurrent {!update} holds it).  A
-    drain with every mailbox empty allocates nothing.  Raises
-    [Invalid_argument] if appliers are running: they own the polling,
-    and manual mode is for the caller's own schedule. *)
+(** Drain every shard's mailboxes once on the calling thread, as the
+    holder of each shard's token in turn (waiting while another drainer
+    holds it).  Every post accepted before the call is published when it
+    returns, so a final [drain] after the posters stop brings the
+    service to quiescence.  A drain with every mailbox empty allocates
+    nothing. *)
 
 val drain_ready : 'a t -> bool
 (** Drain, on the calling thread, every shard that has a post waiting,
@@ -307,8 +286,7 @@ val drain_ready : 'a t -> bool
     behind: its shard's token was busy (another drainer, a synchronous
     {!update}, a {!reshard}) or a reshard moved the epoch under the
     call; the caller should call again soon.  This is how the network
-    edge publishes posts on its own workers ([Edge.Backend.of_serve]),
-    with no applier domain. *)
+    edge publishes posts on its own workers ([Edge.Backend.of_serve]). *)
 
 (** {2 Accounting}
 
@@ -335,8 +313,8 @@ type stats = {
   scans_performed : int;  (** requests that performed their own collect *)
   stalls : int;
       (** backoff waves that hit their cap across all spin sites — a
-          proxy for time burned idling in an applier or waiting on a
-          descheduled token holder or combiner *)
+          proxy for time burned waiting on a descheduled token holder or
+          combiner *)
 }
 
 type writer_stats = { w_posted : int; w_coalesced : int; w_applied : int }
@@ -398,8 +376,8 @@ val check_identities : 'a t -> (unit, string) result
     non-negative deltas and both per-epoch conservation identities,
     with zero carried and in-flight work out of the final epoch.
     [Error] names the first identity that breaks.  Meaningful only at
-    quiescence (after {!shutdown}, or after {!drain} in manual mode):
-    under load the carries are legitimately non-zero. *)
+    quiescence (after a final {!drain} once every operation has
+    returned): under load the carries are legitimately non-zero. *)
 
 val observe : 'a t -> Obs.Metrics.t -> unit
 (** Accumulate current totals into counters [serve.posted],

@@ -78,14 +78,13 @@ let blind_cache hits (h : int Composite.Snapshot.t) =
 let stress ?(pace_stalls = Atomic.make 0) ?handle srv ~schedule ~writer_ops
     ~reader_ops ~init =
   let handle = Option.value handle ~default:(Serve.handle srv) in
-  Serve.start srv;
   let total_writes = Serve.components srv * writer_ops in
   let applied () = (Serve.stats srv).Serve.applied in
   let stop = Atomic.make false in
   let schedule_done = Atomic.make (schedule = []) in
-  (* Back off rather than spin: if an applier domain is descheduled
-     mid-campaign, a spinning waiter burns the CPU it needs.  Waves at
-     the cap are counted. *)
+  (* Back off rather than spin: if a writer holding a drain token is
+     descheduled mid-campaign, a spinning waiter burns the CPU it needs.
+     Waves at the cap are counted. *)
   let wait_while waiting =
     let b = Serve.Backoff.make pace_stalls in
     while waiting () do
@@ -93,10 +92,10 @@ let stress ?(pace_stalls = Atomic.make 0) ?handle srv ~schedule ~writer_ops
     done
   in
   (* A synchronous update drains its own shard as soon as a reshard
-     releases the drain tokens, and writers can finish while a reshard
-     is still joining the appliers: unpaced on the epoch, scans would
-     rarely land between a switch and the next write of a component,
-     which is where the publish-before-migrate mutant shows. *)
+     releases the drain tokens, and writers can finish before the last
+     reshard: unpaced on the epoch, scans would rarely land between a
+     switch and the next write of a component, which is where the
+     publish-before-migrate mutant shows. *)
   let reader_pace () =
     let before = applied () and e = Serve.epoch srv in
     wait_while (fun () ->
@@ -119,10 +118,8 @@ let stress ?(pace_stalls = Atomic.make 0) ?handle srv ~schedule ~writer_ops
                (fun () ->
                  List.iter
                    (fun s ->
-                     if not (Atomic.get stop) then begin
-                       reshard_pace ();
-                       Serve.reshard srv ~shards:s
-                     end)
+                     reshard_pace ();
+                     Serve.reshard srv ~shards:s)
                    schedule)))
   in
   let h =
@@ -137,7 +134,7 @@ let stress ?(pace_stalls = Atomic.make 0) ?handle srv ~schedule ~writer_ops
   in
   Atomic.set stop true;
   Option.iter Domain.join reconfigurer;
-  Serve.shutdown srv;
+  Serve.drain srv;
   h
 
 (* One service lifetime under [schedule], checked.  Self-contained and

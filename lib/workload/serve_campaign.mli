@@ -1,8 +1,8 @@
 (** Verification campaigns for the sharded serving layer, static and
     elastic (experiments E17 and E22, correctness side).
 
-    Each run is one service lifetime ({!stress}): a fresh {!Serve.t}
-    with its applier domains, driven by the multicore stress harness
+    Each run is one service lifetime ({!stress}): a fresh {!Serve.t},
+    driven by the multicore stress harness
     (one domain per writer and reader, synchronous updates through the
     unified handle) while, when [schedule] is non-empty, a reconfigurer
     domain walks it through {!Serve.reshard} so that epoch switches land
@@ -55,7 +55,9 @@ val default : config
 type result = {
   runs : int;
   ops_checked : int;  (** operations across all runs *)
-  epochs_completed : int;  (** sum of final epochs over all runs *)
+  epochs_completed : int;
+      (** sum of final epochs over all runs: every run walks the whole
+          schedule, so this is [runs * List.length schedule] *)
   flagged_runs : int;  (** runs with at least one Shrinking violation *)
   generic_failures : int;  (** runs the generic oracle rejected *)
   accounting_failures : int;
@@ -78,28 +80,30 @@ val stress :
   reader_ops:int ->
   init:int array ->
   int History.Snapshot_history.t
-(** One service lifetime: start [srv], stress it with one writer domain
-    per component and {!Serve.readers} reader domains through [handle]
+(** One service lifetime: stress [srv] with one writer domain per
+    component and {!Serve.readers} reader domains through [handle]
     (default {!Serve.handle}) while a reconfigurer domain, spawned only
-    when [schedule <> []], reshards it through [schedule]; then shut it
-    down and return the recorded history.  [init] must be the service's
-    initial contents.
+    when [schedule <> []], reshards it through every step of
+    [schedule]; then drain it ({!Serve.drain}), so that it is quiescent
+    for {!Serve.check_identities}, and return the recorded history.
+    [init] must be the service's initial contents.
 
     Cached scans are orders of magnitude cheaper than synchronous
     updates, so unpaced readers would finish before the first write and
     leave nothing concurrent to check.  Each scan therefore waits for
     another applied write or an epoch switch, and once every write is
     done, for the next switch or the end of the schedule; each reshard
-    waits for another applied write, so every closed epoch has a write
-    in it.  With [schedule = []] this is plain pacing on writer
-    progress.  Waits back off ({!Serve.Backoff}); waves at the cap bump
+    waits for another applied write until every write has been applied,
+    so each switch made before then closes an epoch with a write in it.
+    With [schedule = []] this is plain pacing on writer progress.
+    Waits back off ({!Serve.Backoff}); waves at the cap bump
     [pace_stalls]. *)
 
 val run :
   ?jobs:int -> ?pool:Exec.Pool.recorder -> ?metrics:Obs.Metrics.t ->
   config -> result
 (** Farm [runs] service lifetimes over [jobs] pool domains (each run
-    additionally spawns its own applier/writer/reader domains) and
+    additionally spawns its own writer/reader/reconfigurer domains) and
     merge outcomes in run-index order, so — as with {!Campaign.run} —
     clean campaigns report bit-identically at every job count.  Raises
     [Invalid_argument] if [components], [readers] or [runs] is below 1,

@@ -1,5 +1,5 @@
 (* Tests for the snapshot serving layer (lib/serve) and its campaign
-   wrapper: exact coalesce/cache accounting in manual-drain mode,
+   wrapper: exact coalesce/cache accounting with single-thread drains,
    linearizability of the sharded + cached service under real domains
    (Shrinking checker and, where feasible, the generic oracle), and the
    validation-disabled mutant being caught.  Also covers the unified
@@ -55,17 +55,8 @@ let test_create_validation () =
   check bool "empty init" true
     (rejects (fun () -> Serve.create ~shards:1 ~readers:1 ~init:[||] ()))
 
-let test_lifecycle_guards () =
-  let srv = Serve.create ~shards:2 ~readers:1 ~init:[| 0; 0 |] () in
-  Serve.start srv;
-  check bool "double start rejected" true
-    (try Serve.start srv; false with Invalid_argument _ -> true);
-  check bool "manual drain rejected while running" true
-    (try Serve.drain srv; false with Invalid_argument _ -> true);
-  Serve.shutdown srv
-
 (* ---------------------------------------------------------------- *)
-(* Coalescing accounting (manual drain: fully deterministic)         *)
+(* Coalescing accounting (one thread: fully deterministic)          *)
 (* ---------------------------------------------------------------- *)
 
 let test_coalesce_counters () =
@@ -99,8 +90,8 @@ let test_coalesce_counters () =
 
 (* The drain is one pass over the owned mailboxes: it coalesces
    nothing itself (coalescing happens only in a post's exchange), and
-   over empty mailboxes it allocates nothing — the applier runs it on
-   every idle poll. *)
+   over empty mailboxes it allocates nothing, so a caller may run it
+   after every write. *)
 let test_drain_single_pass () =
   let c = 64 in
   let srv = Serve.create ~shards:1 ~readers:1 ~init:(Array.make c 0) () in
@@ -129,10 +120,9 @@ let test_drain_single_pass () =
 
 let test_accounting_invariant_under_domains () =
   (* posted = applied + coalesced + pending at every quiescent point,
-     including after a real concurrent run (pending = 0 after
-     shutdown's final drain). *)
+     including after a real concurrent run (pending = 0 after a final
+     drain). *)
   let srv = Serve.create ~shards:2 ~readers:1 ~init:[| 0; 0; 0; 0 |] () in
-  Serve.start srv;
   let writers =
     List.init 4 (fun k ->
         Domain.spawn (fun () ->
@@ -142,7 +132,7 @@ let test_accounting_invariant_under_domains () =
             ignore (Serve.update srv ~writer:k ((k * 1000) + 999))))
   in
   List.iter Domain.join writers;
-  Serve.shutdown srv;
+  Serve.drain srv;
   let st = Serve.stats srv in
   check int "all posts accepted" 404 st.Serve.posted;
   check int "nothing left pending" 0 st.Serve.pending;
@@ -158,10 +148,9 @@ let test_accounting_invariant_under_domains () =
 (* Synchronous writes drain their own shard                          *)
 (* ---------------------------------------------------------------- *)
 
-let test_update_manual_mode () =
-  (* No [start]: the update takes its shard's drain token and publishes
-     itself, draining the other writer's coalesced posts in the same
-     pass. *)
+let test_update_drains_own_shard () =
+  (* The update takes its shard's drain token and publishes itself,
+     draining the other writer's coalesced posts in the same pass. *)
   let srv = Serve.create ~shards:1 ~readers:1 ~init:[| 0; 0 |] () in
   Serve.post srv ~writer:0 7;
   Serve.post srv ~writer:0 8;
@@ -232,25 +221,22 @@ let test_drain_ready_idle () =
   check int "idle calls leave nothing behind" 0 !left;
   check int "idle calls publish nothing" published (Serve.stats srv).Serve.publishes
 
-(* [update] racing the appliers, a second drainer and live reshards on
-   real domains.  Three writer domains mix [update] and [post] on one
-   component each; after every update they raise their component's
-   floor to the returned id.  Two reader domains read the floors, then
-   scan: a scan started after an update returned must hold an id at
-   least the returned one (read-your-writes).  A reconfigurer walks
-   2 -> 4 -> 1 -> 3 while the writers run.  With a [drainer] no
-   applier runs and a fourth domain calls it ([Serve.drain] or
-   [Serve.drain_ready]) in a loop, racing the writers' own drains for
-   the shard tokens and the reconfigurer's epoch switches.  The
-   watchdog turns a lost ack (an update spinning forever) into a
-   failure. *)
-let self_drain_stress ?drainer () =
-  let manual = Option.is_some drainer in
+(* [update] racing a second drainer and live reshards on real domains.
+   Three writer domains mix [update] and [post] on one component each;
+   after every update they raise their component's floor to the
+   returned id.  Two reader domains read the floors, then scan: a scan
+   started after an update returned must hold an id at least the
+   returned one (read-your-writes).  A reconfigurer walks
+   2 -> 4 -> 1 -> 3 while the writers run.  A fourth domain calls the
+   [drainer] ([Serve.drain] or [Serve.drain_ready]) in a loop, racing
+   the writers' own drains for the shard tokens and the reconfigurer's
+   epoch switches.  The watchdog turns a lost ack (an update spinning
+   forever) into a failure. *)
+let self_drain_stress ~drainer:(name, drain) () =
   let writers = 3 and min_ops = 1000 in
   let srv =
     Serve.create ~shards:2 ~max_shards:4 ~readers:2 ~init:(Array.make 4 0) ()
   in
-  if not manual then Serve.start srv;
   let floors = Array.init writers (fun _ -> Atomic.make 0) in
   let resharded = Atomic.make false and writers_left = Atomic.make writers in
   let ryw_violations = Atomic.make 0 and non_increasing = Atomic.make 0 in
@@ -296,19 +282,14 @@ let self_drain_stress ?drainer () =
                 Serve.reshard srv ~shards:s)
               [ 4; 1; 3 ]))
   in
-  let drain_domain =
-    match drainer with
-    | None -> []
-    | Some (_, drain) ->
-      [
-        Domain.spawn (fun () ->
-            while Atomic.get writers_left > 0 do
-              drain srv
-            done);
-      ]
+  let drainer =
+    Domain.spawn (fun () ->
+        while Atomic.get writers_left > 0 do
+          drain srv
+        done)
   in
   let domains =
-    List.init writers writer @ List.init 2 reader @ (reconfigurer :: drain_domain)
+    List.init writers writer @ List.init 2 reader @ [ reconfigurer; drainer ]
   in
   let deadline = Unix.gettimeofday () +. 30. in
   while Atomic.get writers_left > 0 && Unix.gettimeofday () < deadline do
@@ -318,12 +299,7 @@ let self_drain_stress ?drainer () =
     Alcotest.failf "watchdog: %d writers still running after 30 s"
       (Atomic.get writers_left);
   List.iter Domain.join domains;
-  if not manual then Serve.shutdown srv;
-  let label s =
-    Printf.sprintf "%s: %s"
-      (match drainer with None -> "appliers" | Some (name, _) -> name)
-      s
-  in
+  let label s = Printf.sprintf "%s: %s" name s in
   check int (label "read-your-writes") 0 (Atomic.get ryw_violations);
   check int (label "update ids strictly increase") 0
     (Atomic.get non_increasing);
@@ -360,7 +336,7 @@ let self_drain_stress ?drainer () =
   check int (label "final carry") 0 es.(3).Serve.e_carried_out
 
 (* ---------------------------------------------------------------- *)
-(* Cache accounting (manual drain)                                   *)
+(* Cache accounting (one thread)                                    *)
 (* ---------------------------------------------------------------- *)
 
 let test_cache_hit_miss_stale () =
@@ -437,7 +413,7 @@ let test_check_identities () =
   check bool "quiescent after drain" true (Serve.check_identities srv = Ok ())
 
 (* ---------------------------------------------------------------- *)
-(* Scan-sharing accounting (manual drain: fully deterministic)       *)
+(* Scan-sharing accounting (one thread: fully deterministic)        *)
 (* ---------------------------------------------------------------- *)
 
 let scan_identity st =
@@ -558,7 +534,6 @@ let qcheck_combining_identity_under_domains =
       let shards = 1 + ((shards_raw - 1) mod c) in
       let init = Array.init c (fun k -> k) in
       let srv = Serve.create ~shards ~readers:3 ~init () in
-      Serve.start srv;
       let domains =
         List.init c (fun k ->
             Domain.spawn (fun () ->
@@ -572,7 +547,7 @@ let qcheck_combining_identity_under_domains =
                   done))
       in
       List.iter Domain.join domains;
-      Serve.shutdown srv;
+      Serve.drain srv;
       let st = Serve.stats srv in
       let readers_sum =
         List.init 3 (fun j -> Serve.reader_stats srv ~reader:j)
@@ -591,7 +566,7 @@ let qcheck_combining_identity_under_domains =
 (* ---------------------------------------------------------------- *)
 
 let test_differential_anderson_afek () =
-  (* Random serve workloads in manual-drain mode are deterministic, so
+  (* Random serve workloads run on one thread are deterministic, so
      the Anderson- and Afek-backed services must agree scan for scan —
      the exponential construction is the oracle of the fast path. *)
   let lcg = ref 12345 in
@@ -735,12 +710,14 @@ let test_campaign_rejects_bad_shapes () =
 let test_campaign_jobs_deterministic () =
   (* Clean campaigns report identically at every job count (the same
      property Campaign.run has: index-ordered merge of fixed-size
-     runs). *)
+     runs), epoch switches included: every lifetime walks the whole
+     reshard schedule. *)
   let cfg =
     {
       Workload.Serve_campaign.default with
       shards = 2;
-      components = 3;
+      schedule = [ 4; 1; 3 ];
+      components = 4;
       readers = 2;
       writer_ops = 2;
       reader_ops = 2;
@@ -750,12 +727,13 @@ let test_campaign_jobs_deterministic () =
   let strip (r : Workload.Serve_campaign.result) =
     ( (r.Workload.Serve_campaign.runs, r.Workload.Serve_campaign.ops_checked),
       ( r.Workload.Serve_campaign.flagged_runs,
-        r.Workload.Serve_campaign.generic_failures ) )
+        r.Workload.Serve_campaign.generic_failures ),
+      r.Workload.Serve_campaign.epochs_completed )
   in
   let r1 = strip (Workload.Serve_campaign.run ~jobs:1 cfg) in
   let r3 = strip (Workload.Serve_campaign.run ~jobs:3 cfg) in
   check
-    Alcotest.(pair (pair int int) (pair int int))
+    Alcotest.(triple (pair int int) (pair int int) int)
     "jobs=1 = jobs=3" r1 r3
 
 let test_mutant_caught () =
@@ -867,7 +845,6 @@ let () =
         [
           Alcotest.test_case "partition" `Quick test_partition;
           Alcotest.test_case "create validation" `Quick test_create_validation;
-          Alcotest.test_case "lifecycle guards" `Quick test_lifecycle_guards;
         ] );
       ( "accounting",
         [
@@ -877,7 +854,7 @@ let () =
           Alcotest.test_case "invariant under domains" `Quick
             test_accounting_invariant_under_domains;
           Alcotest.test_case "update in manual mode" `Quick
-            test_update_manual_mode;
+            test_update_drains_own_shard;
           Alcotest.test_case "drain_ready applies every shard" `Quick
             test_drain_ready_all_shards;
           Alcotest.test_case "idle drain_ready is allocation-free" `Quick
@@ -901,8 +878,6 @@ let () =
         ] );
       ( "self-drain",
         [
-          Alcotest.test_case "stress with appliers" `Quick (fun () ->
-              self_drain_stress ());
           Alcotest.test_case "stress racing manual drain" `Quick (fun () ->
               self_drain_stress ~drainer:("drain", Serve.drain) ());
           Alcotest.test_case "stress racing drain_ready" `Quick (fun () ->
