@@ -19,7 +19,10 @@
       expose [W] ports per component and document the port-to-component
       mapping.
     - [scan_items ~reader:j] performs a Read as Reader [j], returning
-      all [C] components.
+      all [C] components.  The array may be shared: an implementation
+      may hand the same snapshot to several calls and readers (the
+      serving layer's validated cache does), so callers must not
+      mutate it.
     - Handles are not thread-safe by themselves: one process per write
       port, one per reader index, exactly as the paper's procedures are
       resident to processes.
@@ -62,6 +65,8 @@ type 'a t = {
   components : int;
   readers : int;
   scan_items : reader:int -> 'a Item.t array;
+      (** A Read as Reader [j].  The result may be shared with other
+          calls and readers: read it, never mutate it. *)
   update : writer:int -> 'a -> int;
   caps : caps;
 }

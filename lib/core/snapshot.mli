@@ -15,6 +15,9 @@
       values;
     - [scan_items] additionally exposes the auxiliary ids
       ([phi_k] for each [k]), which the harness records for checking.
+      Its array may be shared with other calls and readers (the
+      serving layer hands out its cached snapshot), so callers must
+      not mutate it; [scan] returns a fresh array.
 
     Handles are not thread-safe by themselves: the caller must respect
     the access pattern (one process per writer index, one per reader
@@ -30,6 +33,7 @@ type 'a t = 'a Composite_intf.t = {
   components : int;
   readers : int;
   scan_items : reader:int -> 'a Item.t array;
+      (** Read-only result: it may be shared, never mutate it. *)
   update : writer:int -> 'a -> int;
   caps : Composite_intf.caps;
       (** Capability record ({!Composite_intf.caps}):

@@ -42,8 +42,8 @@ type 'a cache = { snap : 'a Composite.Item.t array; versions : int array }
 
 (* A snapshot published by a combiner, tagged with the value the
    scan-start counter was bumped to immediately before its collect
-   began.  The record is immutable after publication; adopters copy
-   [snap] on the way out. *)
+   began.  The record is immutable after publication, and so is its
+   [snap]: adopters hand that array out as it is. *)
 type 'a shared = { stamp : int; sview : 'a cache }
 
 module Pad = Composite.Padded_atomic
@@ -100,6 +100,10 @@ type 'a t = {
   combine : bool;
   migrate : bool;  (* false = the publish-map-without-state mutant *)
   note : (string -> unit) option;
+  (* Per reader, the [scan.collect.r<j>] and [scan.enlist.r<j>] span
+     names: built at [create] when [note] is set, empty otherwise. *)
+  collect_spans : string array;
+  enlist_spans : string array;
   (* Current layout.  The arrays themselves are immutable; the fields
      are swapped wholesale by [reshard] while it holds every drain
      token.  A post never reads it: it goes to its component's mailbox,
@@ -200,6 +204,11 @@ let zero_stats =
     stalls = 0;
   }
 
+let reader_spans note ~readers prefix =
+  match note with
+  | None -> [||]
+  | Some _ -> Array.init readers (fun j -> prefix ^ string_of_int j)
+
 let create ?(outer = Outer_afek) ?(cache = true) ?(combine = true)
     ?(migrate = true) ?max_shards ?note ~shards ~readers ~init () =
   let components = Array.length init in
@@ -264,6 +273,8 @@ let create ?(outer = Outer_afek) ?(cache = true) ?(combine = true)
     combine;
     migrate;
     note;
+    collect_spans = reader_spans note ~readers "scan.collect.r";
+    enlist_spans = reader_spans note ~readers "scan.enlist.r";
     cur_shards = shards;
     slice_off;
     slice_len;
@@ -802,9 +813,10 @@ let shared_scan t ~reader =
      publish the result and release the lock. *)
   let perform ?stamp () =
     let c =
-      with_span t
-        (Printf.sprintf "scan.collect.r%d" reader)
-        (fun () -> raw_full_scan t ~reader)
+      match t.note with
+      | None -> raw_full_scan t ~reader
+      | Some _ ->
+        with_span t t.collect_spans.(reader) (fun () -> raw_full_scan t ~reader)
     in
     (match stamp with
     | None -> ()
@@ -835,25 +847,25 @@ let shared_scan t ~reader =
             adopt sh
           | _ -> perform ~stamp:(1 + Atomic.fetch_and_add t.scan_started 1) ()
         else if !budget <= 0 then perform ()
-        else
+        else begin
           (* Enlist: a combiner's collect is in flight. *)
-          with_span t
-            (Printf.sprintf "scan.enlist.r%d" reader)
-            (fun () ->
-              let rec await () =
-                match Atomic.get t.shared_slot with
-                | Some sh when sh.stamp > s0 -> adopt sh
-                | Some sh when cache_fresh t sh.sview -> adopt sh
-                | _ ->
-                  if !budget <= 0 then perform ()
-                  else if Atomic.get t.combiner_lock then begin
-                    decr budget;
-                    Backoff.once b;
-                    await ()
-                  end
-                  else attempt ()
-              in
-              await ()))
+          let rec await () =
+            match Atomic.get t.shared_slot with
+            | Some sh when sh.stamp > s0 -> adopt sh
+            | Some sh when cache_fresh t sh.sview -> adopt sh
+            | _ ->
+              if !budget <= 0 then perform ()
+              else if Atomic.get t.combiner_lock then begin
+                decr budget;
+                Backoff.once b;
+                await ()
+              end
+              else attempt ()
+          in
+          match t.note with
+          | None -> await ()
+          | Some _ -> with_span t t.enlist_spans.(reader) await
+        end)
     in
     attempt ()
 
@@ -867,17 +879,17 @@ let scan_items t ~reader =
       Atomic.incr t.misses;
       let c = shared_scan t ~reader in
       t.caches.(reader) <- Some c;
-      Array.copy c.snap
+      c.snap
     | Some c ->
       if cache_fresh t c then begin
         Atomic.incr t.hits;
-        Array.copy c.snap
+        c.snap
       end
       else begin
         Atomic.incr t.stale;
         let c = shared_scan t ~reader in
         t.caches.(reader) <- Some c;
-        Array.copy c.snap
+        c.snap
       end
 
 let scan t ~reader = Composite.Item.values (scan_items t ~reader)

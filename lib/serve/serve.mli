@@ -257,15 +257,24 @@ val update : 'a t -> writer:int -> 'a -> int
 val scan_items : 'a t -> reader:int -> 'a Composite.Item.t array
 (** Linearizable Scan of all [C] components: a cache hit when the
     version collect validates, otherwise a shared or private scan of
-    the outer register. *)
+    the outer register.
+
+    The result is shared, not copied: a hit returns the reader's cached
+    snapshot itself, and an adopted scan the combiner's.  The same
+    array may be in the reader's cache, in the shared slot and in other
+    readers' hands, so the caller must not mutate it.  [Serve] never
+    writes into a snapshot it has returned: a publish makes the next
+    scan build a new array.  Untraced, a hit allocates nothing. *)
 
 val scan : 'a t -> reader:int -> 'a array
-(** [scan_items] with the auxiliary ids stripped. *)
+(** [scan_items] with the auxiliary ids stripped.  Returns a fresh
+    array the caller owns. *)
 
 val handle : 'a t -> 'a Composite.Snapshot.t
 (** The unified-handle view ({!Composite.Composite_intf.t}): synchronous
     [update], cached [scan_items].  Plugs the service into the existing
-    stress harness, checkers and campaigns unchanged. *)
+    stress harness, checkers and campaigns unchanged.  Its
+    [scan_items] is {!scan_items}: the result is shared and read-only. *)
 
 val drain : 'a t -> unit
 (** Drain every shard's mailboxes once on the calling thread, as the

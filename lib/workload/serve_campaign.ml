@@ -60,6 +60,7 @@ let ro_failed o = o.ro_flagged || o.ro_generic_fail || o.ro_accounting_fail
 (* The blind-cache mutant, outside the service: each reader's first
    scan goes to [h], and every later one returns that same snapshot
    without revalidating it — the stale reads the checkers must flag.
+   Like the real cache, it hands out the snapshot it holds, uncopied.
    [hits] counts the blind reuses. *)
 let blind_cache hits (h : int Composite.Snapshot.t) =
   let caches = Array.make h.Composite.Snapshot.readers None in
@@ -67,11 +68,11 @@ let blind_cache hits (h : int Composite.Snapshot.t) =
     match caches.(reader) with
     | Some snap ->
       Atomic.incr hits;
-      Array.copy snap
+      snap
     | None ->
       let snap = h.Composite.Snapshot.scan_items ~reader in
       caches.(reader) <- Some snap;
-      Array.copy snap
+      snap
   in
   { h with Composite.Snapshot.scan_items }
 

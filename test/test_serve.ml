@@ -365,6 +365,71 @@ let test_cache_hit_miss_stale () =
   check int "stale" 1 st.Serve.stale;
   check int "full scans" 3 st.Serve.full_scans
 
+(* Minor words per call of [scan_items] as reader 0, averaged over
+   [calls] calls; [between] runs before each call, outside the measured
+   window. *)
+let words_per_scan ?(between = ignore) srv ~calls =
+  let words = ref 0. in
+  for _ = 1 to calls do
+    between ();
+    let before = Gc.minor_words () in
+    ignore (Serve.scan_items srv ~reader:0);
+    words := !words +. (Gc.minor_words () -. before)
+  done;
+  !words /. float_of_int calls
+
+(* A validated hit hands out the cached snapshot itself: the version
+   collect is the whole cost, with no copy of the C items. *)
+let test_cache_hit_allocates_nothing () =
+  let srv = Serve.create ~shards:1 ~readers:1 ~init:(Array.make 64 0) () in
+  ignore (Serve.scan_items srv ~reader:0);
+  let per_hit = words_per_scan srv ~calls:10_000 in
+  check bool
+    (Printf.sprintf "cache hit: %.2f minor words per call < 1" per_hit)
+    true (per_hit < 1.);
+  check int "every measured scan hit" 10_000 (Serve.stats srv).Serve.hits
+
+(* A stale scan pays for the collect and nothing else: the outer
+   register's scan, the decoded C-item snapshot, its version vector and
+   the cache and shared-slot entries.  At C = 64, S = 1 that measures
+   135 words; the bound leaves no room for a copy of the snapshot
+   (65 words) or a formatted span name (46). *)
+let test_uncached_scan_budget () =
+  let srv = Serve.create ~shards:1 ~readers:1 ~init:(Array.make 64 0) () in
+  ignore (Serve.scan_items srv ~reader:0);
+  let v = ref 0 in
+  let between () =
+    incr v;
+    Serve.post srv ~writer:(!v mod 64) !v;
+    Serve.drain srv
+  in
+  let calls = 2_000 in
+  let per_scan = words_per_scan ~between srv ~calls in
+  check int "every measured scan was stale" calls (Serve.stats srv).Serve.stale;
+  check bool
+    (Printf.sprintf "stale scan: %.2f minor words per call <= 135" per_scan)
+    true (per_scan <= 135.)
+
+(* The contract that lets a hit skip the copy: [Serve] never writes
+   into a snapshot it has handed out.  Successive hits return the same
+   array, and a publish replaces the cached snapshot instead of
+   updating it, so an array a caller holds keeps its values. *)
+let test_hits_share_snapshot () =
+  let srv = Serve.create ~shards:1 ~readers:1 ~init:[| 1; 2; 3 |] () in
+  let first = Serve.scan_items srv ~reader:0 in
+  let a = Serve.scan_items srv ~reader:0 in
+  let b = Serve.scan_items srv ~reader:0 in
+  check bool "two hits return one array" true (a == b);
+  check bool "the miss's array is the cached one" true (first == a);
+  Serve.post srv ~writer:1 20;
+  Serve.drain srv;
+  let c = Serve.scan_items srv ~reader:0 in
+  check bool "the stale scan returns a new array" false (c == a);
+  check (Alcotest.array int) "the new array holds the publish" [| 1; 20; 3 |]
+    (Composite.Item.values c);
+  check (Alcotest.array int) "the held array keeps its values" [| 1; 2; 3 |]
+    (Composite.Item.values a)
+
 let test_cache_disabled () =
   let srv =
     Serve.create ~combine:false ~cache:false ~shards:1 ~readers:1 ~init:[| 5 |]
@@ -861,6 +926,12 @@ let () =
             test_drain_ready_idle;
           Alcotest.test_case "cache hit/miss/stale" `Quick
             test_cache_hit_miss_stale;
+          Alcotest.test_case "cache hit allocates nothing" `Quick
+            test_cache_hit_allocates_nothing;
+          Alcotest.test_case "uncached scan budget" `Quick
+            test_uncached_scan_budget;
+          Alcotest.test_case "hits share one snapshot" `Quick
+            test_hits_share_snapshot;
           Alcotest.test_case "cache disabled" `Quick test_cache_disabled;
           Alcotest.test_case "observe metrics" `Quick test_observe_metrics;
           Alcotest.test_case "check identities" `Quick test_check_identities;
